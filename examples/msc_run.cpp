@@ -54,10 +54,14 @@
 // --list-patterns prints the available detector keys and exits.
 //
 // With no arguments it runs a built-in demo config (and prints it), so
-// `./build/examples/msc_run` works out of the box.
+// `./build/examples/msc_run` works out of the box. --help / -h prints
+// the usage and exits 0; an unknown option, a flag missing its value or
+// a non-integer value for a numeric flag prints the usage and exits 2.
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -124,6 +128,44 @@ std::vector<std::string> split_keys(const std::string& list) {
   return keys;
 }
 
+void print_usage(std::FILE* out) {
+  std::fprintf(
+      out,
+      "Usage: msc_run [experiment.json] [options]\n"
+      "\n"
+      "Runs a JSON-described experiment end to end (the built-in demo when\n"
+      "no config is given) and prints the analysis report.\n"
+      "\n"
+      "Options:\n"
+      "  --cube <file>               write the severity cube as CUBE-XML\n"
+      "  --profile                   print the flat profile\n"
+      "  --amortize                  repair clock-condition violations\n"
+      "  --timeline                  print the per-rank timeline\n"
+      "  --metrics <file>            write the telemetry snapshot as JSON\n"
+      "  --progress                  print stage progress to stderr\n"
+      "  --trace-out <file>          write the analyzer's own timeline\n"
+      "  --sample-interval-ms <n>    sample the metrics every n ms\n"
+      "  --patterns <key[,key...]>   run only the named detectors\n"
+      "  --list-patterns             list the detector keys and exit\n"
+      "  --archive-dir <dir>         route traces through an on-disk archive\n"
+      "  --permissive                quarantine undecodable ranks\n"
+      "  --trace-format <n>          archive trace format version\n"
+      "  --stream                    analyze the archive out of core\n"
+      "  --memory-budget <bytes>     cap resident trace bytes (--stream)\n"
+      "  --log-level <level>         debug, info, warn, error or off\n"
+      "  -h, --help                  print this help and exit\n");
+}
+
+/// Parses a whole decimal integer in [lo, hi]; false on an empty value,
+/// trailing characters or a value out of range.
+bool parse_integer(const std::string& s, long long lo, long long hi,
+                   long long& out) {
+  errno = 0;
+  char* end = nullptr;
+  out = std::strtoll(s.c_str(), &end, 10);
+  return !s.empty() && *end == '\0' && errno == 0 && out >= lo && out <= hi;
+}
+
 void print_pattern_list() {
   std::printf("available patterns (--patterns key[,key...]):\n");
   for (const auto& e : analysis::PatternRegistry::standard().entries()) {
@@ -151,68 +193,93 @@ int main(int argc, char** argv) {
   bool want_timeline = false;
   bool have_cli_patterns = false;
   std::vector<std::string> cli_patterns;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--cube") == 0 && i + 1 < argc) {
-      cube_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--list-patterns") == 0) {
+  // A malformed command line (unknown option, missing or non-integer
+  // value) prints the usage and exits 2 before any work starts.
+  std::string bad;
+  for (int i = 1; i < argc && bad.empty(); ++i) {
+    const char* arg = argv[i];
+    std::string value;
+    // Matches "--name value" or "--name=value" and sets `value`.
+    auto take = [&](const char* name) {
+      const std::size_t n = std::strlen(name);
+      if (std::strncmp(arg, name, n) != 0 ||
+          (arg[n] != '=' && arg[n] != '\0'))
+        return false;
+      if (arg[n] == '=')
+        value = arg + n + 1;
+      else if (i + 1 < argc)
+        value = argv[++i];
+      else
+        bad = std::string(name) + " requires a value";
+      return true;
+    };
+    long long number = 0;
+    // take() for an integer flag whose value must lie in [lo, hi].
+    auto take_integer = [&](const char* name, long long lo, long long hi) {
+      if (!take(name)) return false;
+      if (bad.empty() && !parse_integer(value, lo, hi, number))
+        bad = std::string(name) + " expects an integer, got '" + value + "'";
+      return true;
+    };
+    constexpr long long kIntMin = std::numeric_limits<int>::min();
+    constexpr long long kIntMax = std::numeric_limits<int>::max();
+    if (std::strcmp(arg, "--help") == 0 || std::strcmp(arg, "-h") == 0) {
+      print_usage(stdout);
+      return 0;
+    } else if (std::strcmp(arg, "--list-patterns") == 0) {
       print_pattern_list();
       return 0;
-    } else if (std::strcmp(argv[i], "--patterns") == 0 && i + 1 < argc) {
+    } else if (take("--cube")) {
+      cube_path = value;
+    } else if (take("--patterns")) {
       have_cli_patterns = true;
-      cli_patterns = split_keys(argv[++i]);
-    } else if (std::strncmp(argv[i], "--patterns=", 11) == 0) {
-      have_cli_patterns = true;
-      cli_patterns = split_keys(argv[i] + 11);
-    } else if (std::strcmp(argv[i], "--metrics") == 0 && i + 1 < argc) {
-      metrics_path = argv[++i];
-    } else if (std::strncmp(argv[i], "--metrics=", 10) == 0) {
-      metrics_path = argv[i] + 10;
-    } else if (std::strcmp(argv[i], "--trace-out") == 0 && i + 1 < argc) {
-      trace_path = argv[++i];
-    } else if (std::strncmp(argv[i], "--trace-out=", 12) == 0) {
-      trace_path = argv[i] + 12;
-    } else if (std::strcmp(argv[i], "--sample-interval-ms") == 0 &&
-               i + 1 < argc) {
-      sample_interval_ms = std::atoi(argv[++i]);
-    } else if (std::strncmp(argv[i], "--sample-interval-ms=", 21) == 0) {
-      sample_interval_ms = std::atoi(argv[i] + 21);
-    } else if (std::strcmp(argv[i], "--log-level") == 0 && i + 1 < argc) {
+      cli_patterns = split_keys(value);
+    } else if (take("--metrics")) {
+      metrics_path = value;
+    } else if (take("--trace-out")) {
+      trace_path = value;
+    } else if (take_integer("--sample-interval-ms", 0, kIntMax)) {
+      sample_interval_ms = static_cast<int>(number);
+    } else if (take("--log-level")) {
       LogLevel level{};
-      if (!parse_log_level(argv[++i], level)) {
+      if (bad.empty() && !parse_log_level(value, level)) {
         std::fprintf(stderr,
                      "msc_run: unknown log level '%s' (expected debug, "
                      "info, warn, error, or off)\n",
-                     argv[i]);
+                     value.c_str());
         return 1;
       }
       set_log_level(level);
-    } else if (std::strcmp(argv[i], "--archive-dir") == 0 && i + 1 < argc) {
-      archive_dir = argv[++i];
-    } else if (std::strncmp(argv[i], "--archive-dir=", 14) == 0) {
-      archive_dir = argv[i] + 14;
-    } else if (std::strcmp(argv[i], "--trace-format") == 0 && i + 1 < argc) {
-      trace_format = std::atoi(argv[++i]);
-    } else if (std::strncmp(argv[i], "--trace-format=", 15) == 0) {
-      trace_format = std::atoi(argv[i] + 15);
-    } else if (std::strcmp(argv[i], "--permissive") == 0) {
+    } else if (take("--archive-dir")) {
+      archive_dir = value;
+    } else if (take_integer("--trace-format", kIntMin, kIntMax)) {
+      trace_format = static_cast<int>(number);
+    } else if (std::strcmp(arg, "--permissive") == 0) {
       permissive = true;
-    } else if (std::strcmp(argv[i], "--stream") == 0) {
+    } else if (std::strcmp(arg, "--stream") == 0) {
       streaming = true;
-    } else if (std::strcmp(argv[i], "--memory-budget") == 0 && i + 1 < argc) {
-      memory_budget = std::atoll(argv[++i]);
-    } else if (std::strncmp(argv[i], "--memory-budget=", 16) == 0) {
-      memory_budget = std::atoll(argv[i] + 16);
-    } else if (std::strcmp(argv[i], "--progress") == 0) {
+    } else if (take_integer("--memory-budget",
+                            std::numeric_limits<long long>::min(),
+                            std::numeric_limits<long long>::max())) {
+      memory_budget = number;
+    } else if (std::strcmp(arg, "--progress") == 0) {
       telemetry::set_progress_enabled(true);
-    } else if (std::strcmp(argv[i], "--profile") == 0) {
+    } else if (std::strcmp(arg, "--profile") == 0) {
       want_profile = true;
-    } else if (std::strcmp(argv[i], "--amortize") == 0) {
+    } else if (std::strcmp(arg, "--amortize") == 0) {
       want_amortize = true;
-    } else if (std::strcmp(argv[i], "--timeline") == 0) {
+    } else if (std::strcmp(arg, "--timeline") == 0) {
       want_timeline = true;
+    } else if (arg[0] == '-' && arg[1] != '\0') {
+      bad = std::string("unknown option '") + arg + "'";
     } else {
-      config_path = argv[i];
+      config_path = arg;
     }
+  }
+  if (!bad.empty()) {
+    std::fprintf(stderr, "msc_run: %s\n\n", bad.c_str());
+    print_usage(stderr);
+    return 2;
   }
 
   if (trace_format != 0 &&

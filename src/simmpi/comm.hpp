@@ -8,16 +8,23 @@
 
 namespace metascope::simmpi {
 
-/// A communicator: an ordered set of global ranks. Position in `members`
-/// is the communicator-local rank.
+/// A communicator: an ordered set of distinct global ranks. Position in
+/// `members` is the communicator-local rank.
 struct Communicator {
   CommId id;
   std::string name;
   std::vector<Rank> members;
+  /// Dense global -> local index over the world ranks (-1 for
+  /// non-members), built by CommSet so local_rank() is O(1).
+  std::vector<int> local_of;
 
   [[nodiscard]] int size() const { return static_cast<int>(members.size()); }
   /// Local rank of a global rank, or -1 if not a member.
-  [[nodiscard]] int local_rank(Rank global) const;
+  [[nodiscard]] int local_rank(Rank global) const {
+    return global >= 0 && static_cast<std::size_t>(global) < local_of.size()
+               ? local_of[static_cast<std::size_t>(global)]
+               : -1;
+  }
   [[nodiscard]] bool contains(Rank global) const {
     return local_rank(global) >= 0;
   }
@@ -31,7 +38,8 @@ class CommSet {
 
   [[nodiscard]] CommId world() const { return CommId{0}; }
 
-  /// Defines a sub-communicator; members must be valid world ranks.
+  /// Defines a sub-communicator; members must be distinct, valid world
+  /// ranks. A repeated member throws Error with the rank in its context.
   CommId create(const std::string& name, std::vector<Rank> members);
 
   [[nodiscard]] const Communicator& get(CommId id) const;

@@ -1,7 +1,8 @@
 #include "simmpi/engine.hpp"
 
 #include <algorithm>
-#include <map>
+#include <limits>
+#include <optional>
 #include <sstream>
 #include <unordered_map>
 #include <vector>
@@ -20,17 +21,13 @@ namespace {
 
 // ---------------------------------------------------------------------
 // Half identification: every point-to-point transfer has a send half and
-// a receive half, each owned by one (rank, op). SendRecv ops own one of
-// each. Halves are keyed for the matching tables.
+// a receive half, each owned by one (rank, op). The matching pre-pass
+// numbers the halves densely in (rank, op) order; a SendRecv op owns two
+// consecutive ids, its send half first.
 // ---------------------------------------------------------------------
 
-enum class HalfSide : std::uint8_t { SendHalf = 0, RecvHalf = 1 };
-
-std::uint64_t half_key(Rank rank, std::uint32_t op_idx, HalfSide side) {
-  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(rank)) << 33) |
-         (static_cast<std::uint64_t>(op_idx) << 1) |
-         static_cast<std::uint64_t>(side);
-}
+using HalfId = std::uint32_t;
+constexpr HalfId kNoHalf = std::numeric_limits<HalfId>::max();
 
 struct HalfState {
   bool posted{false};
@@ -59,7 +56,7 @@ struct CollInstance {
 };
 
 struct RequestState {
-  std::uint64_t half{0};
+  HalfId half{kNoHalf};
   bool is_recv{false};
   double bytes{0.0};
   Rank peer{kNoRank};
@@ -84,7 +81,10 @@ class EngineImpl {
     posted_current_.assign(n, false);
     events_.assign(n, {});
     requests_.assign(n, {});
-    coll_count_.assign(n, std::vector<int>(prog_.comms.size(), 0));
+    overhead_.resize(n);
+    for (Rank r = 0; r < prog_.num_ranks(); ++r)
+      overhead_[static_cast<std::size_t>(r)] =
+          cfg_.cpu_overhead / topo_.speed_of(r);
     // Intern MPI call regions into a const_cast-free private copy? The
     // program owns the region table; engine emits region ids from it. MPI
     // regions were interned at build time by the cursor only for user
@@ -154,91 +154,163 @@ class EngineImpl {
     return mpi_region_[static_cast<std::size_t>(k)];
   }
 
+  /// The matching pre-pass. Gives every point-to-point half a dense id
+  /// and every (rank, op) a slot: the op's first half id, or for a
+  /// collective its instance sequence number on the communicator. Pairs
+  /// the i-th send half on each channel (src, dst, tag, comm) with the
+  /// i-th receive half (MPI non-overtaking order), sizes the collective
+  /// instance tables, and reserves each rank's exact event count.
   void precompute_matching() {
-    // Channel = (src, dst, tag, comm). The i-th send half on a channel
-    // matches the i-th recv half (MPI non-overtaking order).
-    struct Channel {
-      std::vector<std::uint64_t> sends;
-      std::vector<std::uint64_t> recvs;
+    struct ChannelKey {
+      Rank src, dst;
+      int tag, comm;
+      bool operator==(const ChannelKey&) const = default;
     };
-    std::map<std::tuple<Rank, Rank, int, int>, Channel> channels;
+    struct ChannelHash {
+      std::size_t operator()(const ChannelKey& k) const {
+        std::uint64_t h = static_cast<std::uint32_t>(k.src);
+        h = h * 0x9E3779B97F4A7C15ULL + static_cast<std::uint32_t>(k.dst);
+        h = h * 0x9E3779B97F4A7C15ULL + static_cast<std::uint32_t>(k.tag);
+        h = h * 0x9E3779B97F4A7C15ULL + static_cast<std::uint32_t>(k.comm);
+        return static_cast<std::size_t>(h ^ (h >> 29));
+      }
+    };
+    struct Channel {
+      std::vector<HalfId> sends;  ///< in the sending rank's program order
+      std::size_t matched{0};
+    };
+    std::unordered_map<ChannelKey, std::uint32_t, ChannelHash> channel_ids;
+    std::vector<Channel> channels;
+    auto channel = [&](Rank src, Rank dst, const Op& op) {
+      const auto [it, fresh] = channel_ids.try_emplace(
+          ChannelKey{src, dst, op.tag, op.comm.get()},
+          static_cast<std::uint32_t>(channels.size()));
+      if (fresh) channels.emplace_back();
+      return it->second;
+    };
+    // (channel, half) per receive half, in id order.
+    std::vector<std::pair<std::uint32_t, HalfId>> recvs;
+
+    const auto n = static_cast<std::size_t>(prog_.num_ranks());
+    slot_off_.assign(n + 1, 0);
+    for (std::size_t r = 0; r < n; ++r)
+      slot_off_[r + 1] = slot_off_[r] + prog_.ops[r].size();
+    slot_.assign(slot_off_[n], 0);
+    coll_instances_.assign(prog_.comms.size(), {});
+    comm_profile_.assign(prog_.comms.size(), std::nullopt);
+    std::vector<std::uint32_t> coll_seq(prog_.comms.size());
+    std::vector<bool> request_is_recv;
+    HalfId next = 0;
     for (Rank r = 0; r < prog_.num_ranks(); ++r) {
-      const auto& ops = prog_.ops[static_cast<std::size_t>(r)];
-      for (std::uint32_t i = 0; i < ops.size(); ++i) {
+      const auto ri = static_cast<std::size_t>(r);
+      std::fill(coll_seq.begin(), coll_seq.end(), 0);
+      request_is_recv.clear();
+      std::size_t num_events = 0;
+      std::uint32_t* slot = slot_.data() + slot_off_[ri];
+      const auto& ops = prog_.ops[ri];
+      for (std::size_t i = 0; i < ops.size(); ++i) {
         const Op& op = ops[i];
         switch (op.kind) {
+          case OpKind::Compute: break;
+          case OpKind::Enter:
+          case OpKind::Exit: num_events += 1; break;
           case OpKind::Send:
           case OpKind::Isend:
-            channels[{r, op.peer, op.tag, op.comm.get()}].sends.push_back(
-                half_key(r, i, HalfSide::SendHalf));
+            slot[i] = next;
+            channels[channel(r, op.peer, op)].sends.push_back(next++);
+            num_events += 3;
+            if (op.kind == OpKind::Isend) request_is_recv.push_back(false);
             break;
           case OpKind::Recv:
           case OpKind::Irecv:
-            channels[{op.peer, r, op.tag, op.comm.get()}].recvs.push_back(
-                half_key(r, i, HalfSide::RecvHalf));
+            slot[i] = next;
+            recvs.emplace_back(channel(op.peer, r, op), next++);
+            num_events += op.kind == OpKind::Recv ? 3 : 2;
+            if (op.kind == OpKind::Irecv) request_is_recv.push_back(true);
+            break;
+          case OpKind::Wait:
+            num_events +=
+                request_is_recv[static_cast<std::size_t>(op.request)] ? 3 : 2;
             break;
           case OpKind::SendRecv:
-            channels[{r, op.peer, op.tag, op.comm.get()}].sends.push_back(
-                half_key(r, i, HalfSide::SendHalf));
-            channels[{op.recv_peer, r, op.tag, op.comm.get()}]
-                .recvs.push_back(half_key(r, i, HalfSide::RecvHalf));
+            slot[i] = next;
+            channels[channel(r, op.peer, op)].sends.push_back(next++);
+            recvs.emplace_back(channel(op.recv_peer, r, op), next++);
+            num_events += 4;
             break;
-          default:
+          default: {
+            const auto ci = static_cast<std::size_t>(op.comm.get());
+            slot[i] = coll_seq[ci]++;
+            if (coll_seq[ci] > coll_instances_[ci].size())
+              coll_instances_[ci].resize(coll_seq[ci]);
+            num_events += 2;
             break;
+          }
         }
       }
+      events_[ri].reserve(num_events);
     }
-    for (const auto& [key, ch] : channels) {
-      MSC_ASSERT(ch.sends.size() == ch.recvs.size(),
+
+    // Receives in id order come in each receiving rank's program order,
+    // so the i-th receive on a channel meets its i-th send.
+    partner_.assign(next, kNoHalf);
+    halves_.assign(next, HalfState{});
+    for (const auto& [ch, h] : recvs) {
+      Channel& c = channels[ch];
+      MSC_ASSERT(c.matched < c.sends.size(),
                  "validate() should have rejected unmatched p2p");
-      for (std::size_t i = 0; i < ch.sends.size(); ++i) {
-        partner_[ch.sends[i]] = ch.recvs[i];
-        partner_[ch.recvs[i]] = ch.sends[i];
-      }
+      const HalfId s = c.sends[c.matched++];
+      partner_[s] = h;
+      partner_[h] = s;
     }
+    for (const Channel& c : channels)
+      MSC_ASSERT(c.matched == c.sends.size(),
+                 "validate() should have rejected unmatched p2p");
   }
 
   // --- helpers ---------------------------------------------------------
 
-  Dur overhead(Rank r) const { return cfg_.cpu_overhead / topo_.speed_of(r); }
+  Dur overhead(Rank r) const { return overhead_[static_cast<std::size_t>(r)]; }
 
-  HalfState& half(std::uint64_t key) { return halves_[key]; }
-
-  std::uint64_t partner_of(std::uint64_t key) const {
-    auto it = partner_.find(key);
-    MSC_ASSERT(it != partner_.end(), "unmatched half");
-    return it->second;
+  /// The (rank, op) slot filled by the matching pre-pass.
+  std::uint32_t slot(std::size_t r, std::uint32_t op_idx) const {
+    return slot_[slot_off_[r] + op_idx];
   }
 
-  void post_send_half(Rank r, std::uint32_t op_idx, const Op& op,
-                      TrueTime t, Rank dst, double bytes) {
-    const auto key = half_key(r, op_idx, HalfSide::SendHalf);
-    HalfState& h = half(key);
+  HalfState& half(HalfId id) { return halves_[id]; }
+
+  HalfId partner_of(HalfId id) const {
+    const HalfId p = partner_[id];
+    MSC_ASSERT(p != kNoHalf, "unmatched half");
+    return p;
+  }
+
+  void post_send_half(HalfId id, Rank r, TrueTime t, Rank dst,
+                      double bytes) {
+    HalfState& h = half(id);
     h.posted = true;
     h.post_time = t;
     h.bytes = bytes;
     h.src = r;
     h.dst = dst;
     h.rendezvous = bytes > cfg_.eager_threshold;
-    (void)op;
-    try_time_send(key);
+    try_time_send(id);
   }
 
-  void post_recv_half(Rank r, std::uint32_t op_idx, TrueTime t, Rank src) {
-    const auto key = half_key(r, op_idx, HalfSide::RecvHalf);
-    HalfState& h = half(key);
+  void post_recv_half(HalfId id, Rank r, TrueTime t, Rank src) {
+    HalfState& h = half(id);
     h.posted = true;
     h.post_time = t;
     h.src = src;
     h.dst = r;
     // A rendezvous sender might be blocked on this post.
-    try_time_send(partner_of(key));
+    try_time_send(partner_of(id));
   }
 
   /// Attempts to compute the transfer times for a send half. Eager sends
   /// time immediately; rendezvous sends require the posted receive.
-  void try_time_send(std::uint64_t send_key) {
-    HalfState& s = half(send_key);
+  void try_time_send(HalfId send_id) {
+    HalfState& s = half(send_id);
     if (!s.posted || s.timed) return;
     const Dur o = overhead(s.src);
     if (!s.rendezvous) {
@@ -248,7 +320,7 @@ class EngineImpl {
       s.arrival = s.send_event + net_.sample_delay(s.src, s.dst, s.bytes);
       s.timed = true;
     } else {
-      const HalfState& rhalf = half(partner_of(send_key));
+      const HalfState& rhalf = half(partner_of(send_id));
       if (!rhalf.posted) return;
       const Dur o_r = overhead(s.dst);
       const Dur l1 = net_.sample_delay(s.src, s.dst, 0.0);
@@ -325,17 +397,18 @@ class EngineImpl {
 
       // Post side effects exactly once per op.
       if (!posted_current_[ri]) {
+        const std::uint32_t first = slot(ri, op_idx);
         switch (op.kind) {
           case OpKind::Send:
-            post_send_half(r, op_idx, op, t, op.peer, op.bytes);
+            post_send_half(first, r, t, op.peer, op.bytes);
             break;
           case OpKind::Recv:
-            post_recv_half(r, op_idx, t, op.peer);
+            post_recv_half(first, r, t, op.peer);
             break;
           case OpKind::Isend: {
-            post_send_half(r, op_idx, op, t, op.peer, op.bytes);
+            post_send_half(first, r, t, op.peer, op.bytes);
             RequestState req;
-            req.half = half_key(r, op_idx, HalfSide::SendHalf);
+            req.half = first;
             req.is_recv = false;
             req.bytes = op.bytes;
             req.peer = op.peer;
@@ -345,9 +418,9 @@ class EngineImpl {
             break;
           }
           case OpKind::Irecv: {
-            post_recv_half(r, op_idx, t, op.peer);
+            post_recv_half(first, r, t, op.peer);
             RequestState req;
-            req.half = half_key(r, op_idx, HalfSide::RecvHalf);
+            req.half = first;
             req.is_recv = true;
             req.peer = op.peer;
             req.tag = op.tag;
@@ -356,11 +429,11 @@ class EngineImpl {
             break;
           }
           case OpKind::SendRecv:
-            post_send_half(r, op_idx, op, t, op.peer, op.bytes);
-            post_recv_half(r, op_idx, t, op.recv_peer);
+            post_send_half(first, r, t, op.peer, op.bytes);
+            post_recv_half(first + 1, r, t, op.recv_peer);
             break;
           default:
-            if (is_collective(op.kind)) post_collective(r, op, t);
+            if (is_collective(op.kind)) post_collective(r, op, first, t);
             break;
         }
         posted_current_[ri] = true;
@@ -386,7 +459,7 @@ class EngineImpl {
           break;
         }
         case OpKind::Send: {
-          const HalfState& s = half(half_key(r, op_idx, HalfSide::SendHalf));
+          const HalfState& s = half(slot(ri, op_idx));
           if (!s.timed) break;
           emit_enter(r, t, mpi_region(OpKind::Send));
           emit_send(r, s.send_event, op.peer, op.tag, op.bytes, op.comm);
@@ -396,8 +469,7 @@ class EngineImpl {
           break;
         }
         case OpKind::Recv: {
-          const HalfState& s = half(
-              partner_of(half_key(r, op_idx, HalfSide::RecvHalf)));
+          const HalfState& s = half(partner_of(slot(ri, op_idx)));
           if (!s.timed) break;
           done = std::max(t, s.arrival) + o;
           emit_enter(r, t, mpi_region(OpKind::Recv));
@@ -444,9 +516,8 @@ class EngineImpl {
           break;
         }
         case OpKind::SendRecv: {
-          const HalfState& s = half(half_key(r, op_idx, HalfSide::SendHalf));
-          const HalfState& ps = half(
-              partner_of(half_key(r, op_idx, HalfSide::RecvHalf)));
+          const HalfState& s = half(slot(ri, op_idx));
+          const HalfState& ps = half(partner_of(slot(ri, op_idx) + 1));
           if (!s.timed || !ps.timed) break;
           const TrueTime recv_done = std::max(t, ps.arrival) + o;
           done = std::max(s.send_done, recv_done);
@@ -459,10 +530,11 @@ class EngineImpl {
         }
         default: {
           MSC_ASSERT(is_collective(op.kind), "unhandled op kind");
-          CollInstance& inst = coll_instance_of(r, op_idx);
-          if (!inst.timed) break;
           const Communicator& comm = prog_.comms.get(op.comm);
           const int local = comm.local_rank(r);
+          const CollInstance& inst = coll_instance_of(op, slot(ri, op_idx),
+                                                      local);
+          if (!inst.timed) break;
           done = inst.timing.exit[static_cast<std::size_t>(local)];
           emit_enter(r, t, mpi_region(op.kind));
           ExecEvent ev;
@@ -493,16 +565,11 @@ class EngineImpl {
 
   // --- collectives -----------------------------------------------------
 
-  void post_collective(Rank r, const Op& op, TrueTime t) {
-    const auto ri = static_cast<std::size_t>(r);
+  void post_collective(Rank r, const Op& op, std::uint32_t seq,
+                       TrueTime t) {
     const auto ci = static_cast<std::size_t>(op.comm.get());
-    const int seq = coll_count_[ri][ci]++;
     const Communicator& comm = prog_.comms.get(op.comm);
-    auto& list = coll_instances_[op.comm.get()];
-    if (static_cast<std::size_t>(seq) >= list.size()) {
-      list.resize(static_cast<std::size_t>(seq) + 1);
-    }
-    CollInstance& inst = list[static_cast<std::size_t>(seq)];
+    CollInstance& inst = coll_instances_[ci][seq];
     if (inst.enter.empty()) {
       inst.enter.assign(static_cast<std::size_t>(comm.size()), TrueTime{});
       inst.present.assign(static_cast<std::size_t>(comm.size()), false);
@@ -519,34 +586,27 @@ class EngineImpl {
     inst.present[lu] = true;
     inst.enter[lu] = t;
     ++inst.arrived;
-    // Remember which instance this rank's op refers to.
-    coll_ref_[half_key(r, current_op_index(r), HalfSide::SendHalf)] = seq;
     if (inst.arrived == comm.size()) {
-      auto pit = comm_profile_.find(op.comm.get());
-      if (pit == comm_profile_.end()) {
-        pit = comm_profile_
-                  .emplace(op.comm.get(), profile_comm(topo_, comm))
-                  .first;
-      }
+      auto& profile = comm_profile_[ci];
+      if (!profile) profile = profile_comm(topo_, comm);
       inst.timing =
-          time_collective(inst.kind, topo_, comm, pit->second, inst.enter,
+          time_collective(inst.kind, topo_, comm, *profile, inst.enter,
                           inst.root, inst.bytes, cfg_.cpu_overhead);
       inst.timed = true;
       ++stats_.collectives;
     }
   }
 
-  std::uint32_t current_op_index(Rank r) const {
-    return static_cast<std::uint32_t>(ip_[static_cast<std::size_t>(r)]);
-  }
-
-  CollInstance& coll_instance_of(Rank r, std::uint32_t op_idx) {
-    const auto key = half_key(r, op_idx, HalfSide::SendHalf);
-    auto it = coll_ref_.find(key);
-    MSC_ASSERT(it != coll_ref_.end(), "collective op not posted");
-    const Op& op = prog_.ops[static_cast<std::size_t>(r)][op_idx];
-    return coll_instances_[op.comm.get()][static_cast<std::size_t>(
-        it->second)];
+  /// The instance a posted collective op takes part in; `seq` is the
+  /// op's slot and `local` the poster's communicator-local rank.
+  const CollInstance& coll_instance_of(const Op& op, std::uint32_t seq,
+                                       int local) const {
+    const CollInstance& inst =
+        coll_instances_[static_cast<std::size_t>(op.comm.get())][seq];
+    MSC_ASSERT(local >= 0 && !inst.present.empty() &&
+                   inst.present[static_cast<std::size_t>(local)],
+               "collective op not posted");
+    return inst;
   }
 
   // --- state -----------------------------------------------------------
@@ -561,13 +621,16 @@ class EngineImpl {
   std::vector<bool> posted_current_;
   std::vector<std::vector<ExecEvent>> events_;
   std::vector<std::vector<RequestState>> requests_;
-  std::vector<std::vector<int>> coll_count_;
+  std::vector<Dur> overhead_;  ///< per-rank MPI call cost
 
-  std::unordered_map<std::uint64_t, std::uint64_t> partner_;
-  std::unordered_map<std::uint64_t, HalfState> halves_;
-  std::unordered_map<int, std::vector<CollInstance>> coll_instances_;
-  std::unordered_map<std::uint64_t, int> coll_ref_;
-  std::unordered_map<int, CommLinkProfile> comm_profile_;
+  // Matching pre-pass output: slot_[slot_off_[r] + i] belongs to op i of
+  // rank r; partner_ and halves_ are indexed by half id.
+  std::vector<std::size_t> slot_off_;
+  std::vector<std::uint32_t> slot_;
+  std::vector<HalfId> partner_;
+  std::vector<HalfState> halves_;
+  std::vector<std::vector<CollInstance>> coll_instances_;  ///< [comm][seq]
+  std::vector<std::optional<CommLinkProfile>> comm_profile_;
   std::vector<RegionId> mpi_region_;
 
   EngineStats stats_;

@@ -1,11 +1,14 @@
 #include "tracing/measurement.hpp"
 
 #include <algorithm>
+#include <atomic>
 
 #include "common/error.hpp"
+#include "common/parallel.hpp"
 #include "simnet/network.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/progress.hpp"
+#include "telemetry/recorder.hpp"
 #include "telemetry/span.hpp"
 
 namespace metascope::tracing {
@@ -109,6 +112,42 @@ void run_sync_phase(const simnet::Topology& topo,
   }
 }
 
+/// Converts one rank's execution events into trace events stamped by a
+/// read of the node-local clock.
+void stamp_events(const simnet::ClockModel& clock,
+                  const std::vector<simmpi::ExecEvent>& in, Rng rng,
+                  std::vector<Event>& out) {
+  double last = -kInfTime;
+  out.reserve(in.size());
+  for (const auto& ev : in) {
+    Event te;
+    switch (ev.type) {
+      case simmpi::ExecEventType::Enter: te.type = EventType::Enter; break;
+      case simmpi::ExecEventType::Exit: te.type = EventType::Exit; break;
+      case simmpi::ExecEventType::Send: te.type = EventType::Send; break;
+      case simmpi::ExecEventType::Recv: te.type = EventType::Recv; break;
+      case simmpi::ExecEventType::CollExit:
+        te.type = EventType::CollExit;
+        break;
+    }
+    // Monotone clock read: a real node clock never runs backwards, so
+    // quantization/read noise must not reorder a process's events.
+    double stamp = clock.read(ev.time, rng).s;
+    if (stamp <= last) stamp = last + 1e-9;
+    last = stamp;
+    te.time = stamp;
+    te.region = ev.region;
+    te.peer = ev.peer;
+    te.tag = ev.tag;
+    te.bytes = ev.bytes;
+    te.comm = ev.comm;
+    te.root = ev.root;
+    te.sent_bytes = ev.sent_bytes;
+    te.recvd_bytes = ev.recvd_bytes;
+    out.push_back(te);
+  }
+}
+
 }  // namespace
 
 TraceCollection collect_traces(const simnet::Topology& topo,
@@ -154,49 +193,34 @@ TraceCollection collect_traces(const simnet::Topology& topo,
   }
 
   // --- event stamping through the local clocks -------------------------
-  Rng root(cfg.seed);
-  out.ranks.resize(static_cast<std::size_t>(topo.num_ranks()));
-  for (Rank r = 0; r < topo.num_ranks(); ++r) {
-    auto& lt = out.ranks[static_cast<std::size_t>(r)];
-    lt.rank = r;
-    const auto& clock = clocks.clock_of(topo, r);
-    Rng rng = root.split(static_cast<std::uint64_t>(r) + 1);
-    double last = -kInfTime;
-    lt.events.reserve(exec.per_rank[static_cast<std::size_t>(r)].size());
-    for (const auto& ev : exec.per_rank[static_cast<std::size_t>(r)]) {
-      Event te;
-      switch (ev.type) {
-        case simmpi::ExecEventType::Enter: te.type = EventType::Enter; break;
-        case simmpi::ExecEventType::Exit: te.type = EventType::Exit; break;
-        case simmpi::ExecEventType::Send: te.type = EventType::Send; break;
-        case simmpi::ExecEventType::Recv: te.type = EventType::Recv; break;
-        case simmpi::ExecEventType::CollExit:
-          te.type = EventType::CollExit;
-          break;
-      }
-      // Monotone clock read: a real node clock never runs backwards, so
-      // quantization/read noise must not reorder a process's events.
-      double stamp = clock.read(ev.time, rng).s;
-      if (stamp <= last) stamp = last + 1e-9;
-      last = stamp;
-      te.time = stamp;
-      te.region = ev.region;
-      te.peer = ev.peer;
-      te.tag = ev.tag;
-      te.bytes = ev.bytes;
-      te.comm = ev.comm;
-      te.root = ev.root;
-      te.sent_bytes = ev.sent_bytes;
-      te.recvd_bytes = ev.recvd_bytes;
-      lt.events.push_back(te);
-    }
+  // One task per rank: each stamps only its own trace, drawing clock-read
+  // noise from its own split stream, so any worker count gives the same
+  // traces.
+  const Rng root(cfg.seed);
+  const auto n = static_cast<std::size_t>(topo.num_ranks());
+  out.ranks.resize(n);
+  std::atomic<std::size_t> stamped{0};
+  telemetry::RecordingObserver rec_obs(
+      "trace", telemetry::RecordingObserver::fanout_stride(n));
+  const auto pst = parallel_for(
+      n, cfg.max_workers,
+      [&](std::size_t ri) {
+        const auto r = static_cast<Rank>(ri);
+        auto& lt = out.ranks[ri];
+        lt.rank = r;
+        stamp_events(clocks.clock_of(topo, r), exec.per_rank[ri],
+                     root.split(ri + 1), lt.events);
+        if (telemetry::progress_enabled())
+          telemetry::progress("trace", static_cast<double>(++stamped) /
+                                           static_cast<double>(n));
+      },
+      &rec_obs);
+  telemetry::record_stage_parallelism("trace", pst);
+  auto& per_rank = telemetry::histogram("trace.events_per_rank",
+                                        {1e2, 1e3, 1e4, 1e5, 1e6});
+  for (const auto& lt : out.ranks) {
     telemetry::counter("trace.events").add(lt.events.size());
-    telemetry::histogram("trace.events_per_rank",
-                         {1e2, 1e3, 1e4, 1e5, 1e6})
-        .observe(static_cast<double>(lt.events.size()));
-    if (telemetry::progress_enabled())
-      telemetry::progress("trace", static_cast<double>(r + 1) /
-                                       static_cast<double>(topo.num_ranks()));
+    per_rank.observe(static_cast<double>(lt.events.size()));
   }
   telemetry::counter("trace.ranks").add(out.ranks.size());
 

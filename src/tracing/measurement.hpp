@@ -10,6 +10,7 @@
 //    environment-variable mechanism (paper §4).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 #include "simmpi/engine.hpp"
@@ -26,6 +27,10 @@ struct MeasurementConfig {
   int pingpongs{10};
   /// Seed for clock-read noise and measurement-message jitter.
   std::uint64_t seed{0xC10C5ULL};
+  /// Workers for the per-rank event stamping (0 = hardware concurrency).
+  /// Each rank draws from its own split stream, so the traces are
+  /// identical for any count; the offset measurements stay serial.
+  std::size_t max_workers{0};
 };
 
 /// Produces the local traces of one experiment. `envs` defaults to

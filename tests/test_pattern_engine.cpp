@@ -9,9 +9,9 @@
 // selection, and must leave every non-category cell untouched when the
 // new Completion detectors are enabled on top.
 //
-// The workload constructions below (cross_topo/local_topo/
-// random_program/make_traces) must stay in sync with the generator that
-// produced the fixture; regenerate the fixture if they change.
+// The workload constructions live in seed_workloads.hpp and must stay in
+// sync with the generator that produced the fixture; regenerate the
+// fixture if they change.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -38,147 +38,18 @@
 #include "workloads/metatrace.hpp"
 #include "workloads/microworkloads.hpp"
 
+#include "seed_workloads.hpp"
+
 namespace metascope::analysis {
 namespace {
 
 using tracing::EventType;
 
-// --- workload constructions (in sync with the fixture generator) ---------
-
-simnet::Topology cross_topo() {
-  simnet::Topology topo;
-  simnet::MetahostSpec a;
-  a.name = "A";
-  a.num_nodes = 1;
-  a.cpus_per_node = 1;
-  a.internal = simnet::LinkSpec{10e-6, 0.0, 1e9};
-  simnet::MetahostSpec b = a;
-  b.name = "B";
-  const auto ia = topo.add_metahost(a);
-  const auto ib = topo.add_metahost(b);
-  topo.set_external_link(ia, ib, simnet::LinkSpec{1000e-6, 0.0, 1e9});
-  topo.place_block(ia, 1, 1);
-  topo.place_block(ib, 1, 1);
-  return topo;
-}
-
-simnet::Topology local_topo(int n) {
-  simnet::Topology topo;
-  simnet::MetahostSpec a;
-  a.name = "A";
-  a.num_nodes = n;
-  a.cpus_per_node = 1;
-  a.internal = simnet::LinkSpec{10e-6, 0.0, 1e9};
-  topo.add_metahost(a);
-  topo.place_block(MetahostId{0}, n, 1);
-  return topo;
-}
-
-simmpi::Program random_program(int nranks, std::uint64_t seed, int steps) {
-  Rng rng(seed);
-  simmpi::ProgramBuilder b(nranks);
-  for (Rank r = 0; r < nranks; ++r) b.on(r).enter("main");
-  for (int s = 0; s < steps; ++s) {
-    const int kind = static_cast<int>(rng.uniform_index(5));
-    switch (kind) {
-      case 0: {
-        const Rank a = static_cast<Rank>(rng.uniform_index(nranks));
-        Rank c = static_cast<Rank>(rng.uniform_index(nranks - 1));
-        if (c >= a) ++c;
-        const double bytes = rng.uniform(16.0, 200000.0);
-        b.on(a).enter("chat").send(c, s, bytes).exit();
-        b.on(c).enter("chat").recv(a, s).exit();
-        break;
-      }
-      case 1: {
-        for (Rank r = 0; r < nranks; ++r)
-          b.on(r).compute(rng.uniform(0.0, 0.01)).barrier();
-        break;
-      }
-      case 2: {
-        for (Rank r = 0; r < nranks; ++r)
-          b.on(r).compute(rng.uniform(0.0, 0.005)).allreduce(256.0);
-        break;
-      }
-      case 3: {
-        const Rank root = static_cast<Rank>(rng.uniform_index(nranks));
-        for (Rank r = 0; r < nranks; ++r) {
-          b.on(r).compute(rng.uniform(0.0, 0.005));
-          b.on(r).bcast(root, 4096.0);
-          b.on(r).reduce(root, 512.0);
-        }
-        break;
-      }
-      default: {
-        std::vector<int> reqs(static_cast<std::size_t>(nranks));
-        for (Rank r = 0; r < nranks; ++r) {
-          auto& c = b.on(r);
-          c.enter("shift");
-          reqs[static_cast<std::size_t>(r)] =
-              c.irecv((r + nranks - 1) % nranks, 7777 + s);
-          c.send((r + 1) % nranks, 7777 + s, 1024.0);
-          c.wait(reqs[static_cast<std::size_t>(r)]);
-          c.exit();
-        }
-        break;
-      }
-    }
-  }
-  for (Rank r = 0; r < nranks; ++r) b.on(r).exit();
-  return b.take();
-}
-
-tracing::TraceCollection make_traces(const simnet::Topology& topo,
-                                     const simmpi::Program& prog,
-                                     bool skewed) {
-  workloads::ExperimentConfig cfg;
-  cfg.perfect_clocks = !skewed;
-  cfg.measurement.scheme = skewed ? tracing::SyncScheme::HierarchicalTwo
-                                  : tracing::SyncScheme::None;
-  auto data = workloads::run_experiment(topo, prog, cfg);
-  if (skewed) clocksync::synchronize(data.traces);
-  return std::move(data.traces);
-}
-
-tracing::TraceCollection seed_workload(const std::string& name) {
-  if (name == "late-sender-cross")
-    return make_traces(cross_topo(), workloads::late_sender_program(0.25),
-                       false);
-  if (name == "late-sender-local")
-    return make_traces(local_topo(2), workloads::late_sender_program(0.25),
-                       false);
-  if (name == "late-receiver-cross")
-    return make_traces(cross_topo(),
-                       workloads::late_receiver_program(0.3, 1 << 20), false);
-  if (name == "wait-nxn-local")
-    return make_traces(local_topo(4),
-                       workloads::wait_nxn_program({0.0, 0.1, 0.2, 0.4}),
-                       false);
-  if (name == "wait-nxn-cross")
-    return make_traces(cross_topo(), workloads::wait_nxn_program({0.0, 0.5}),
-                       false);
-  if (name == "wait-barrier-local")
-    return make_traces(local_topo(4),
-                       workloads::wait_barrier_program({0.3, 0.0, 0.1, 0.2}),
-                       false);
-  if (name == "early-reduce-local")
-    return make_traces(local_topo(4),
-                       workloads::early_reduce_program({0.0, 0.2, 0.5, 0.1}),
-                       false);
-  if (name == "late-broadcast-local")
-    return make_traces(local_topo(4),
-                       workloads::late_broadcast_program(4, 0.35), false);
-  if (name == "random-viola") {
-    const auto topo = simnet::make_viola_experiment1();
-    return make_traces(topo, random_program(topo.num_ranks(), 1, 12), true);
-  }
-  if (name == "metatrace-viola") {
-    const auto topo = simnet::make_viola_experiment1();
-    return make_traces(topo, workloads::build_metatrace(), true);
-  }
-  ADD_FAILURE() << "unknown seed workload " << name;
-  return {};
-}
+using seeds::cross_topo;
+using seeds::local_topo;
+using seeds::make_traces;
+using seeds::random_program;
+using seeds::seed_workload;
 
 // --- fixture parsing -----------------------------------------------------
 
@@ -309,13 +180,8 @@ TEST_P(GoldenWorkloads, CompletionDetectorsPerturbOnlyTheirCategories) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Seeds, GoldenWorkloads,
-    ::testing::Values("late-sender-cross", "late-sender-local",
-                      "late-receiver-cross", "wait-nxn-local",
-                      "wait-nxn-cross", "wait-barrier-local",
-                      "early-reduce-local", "late-broadcast-local",
-                      "random-viola", "metatrace-viola"));
+INSTANTIATE_TEST_SUITE_P(Seeds, GoldenWorkloads,
+                         ::testing::ValuesIn(seeds::seed_names()));
 
 // --- completion patterns -------------------------------------------------
 

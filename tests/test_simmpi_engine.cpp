@@ -2,9 +2,20 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <map>
+#include <sstream>
+#include <string>
 
 #include "common/error.hpp"
+#include "common/json.hpp"
+#include "seed_workloads.hpp"
+#include "workloads/config.hpp"
 
 namespace metascope::simmpi {
 namespace {
@@ -296,6 +307,27 @@ TEST(Engine, DeterministicAcrossRuns) {
   }
 }
 
+TEST(Engine, ReservesExactEventCountPerRank) {
+  // Every op kind, including both Wait flavours and a sub-communicator
+  // collective: the pre-pass must reserve exactly what the run emits.
+  ProgramBuilder b(8);
+  const CommId evens = b.comms().create("evens", {0, 2, 4, 6});
+  for (Rank r = 0; r < 8; ++r) {
+    auto& c = b.on(r);
+    c.enter("m").compute(0.01);
+    const int rq = c.irecv((r + 7) % 8, 1);
+    const int sq = c.isend((r + 1) % 8, 1, 128.0);
+    c.wait(sq).wait(rq);
+    c.sendrecv((r + 1) % 8, 64.0, (r + 7) % 8, 64.0, 2);
+    if (r % 2 == 0) c.send(r + 1, 3, 1e6).bcast(0, 32.0, evens);
+    else c.recv(r - 1, 3);
+    c.allreduce(8.0).exit();
+  }
+  const ExecResult res = execute(make_two_host(), b.take(), exact_config());
+  for (const auto& evs : res.per_rank)
+    EXPECT_EQ(evs.capacity(), evs.size());
+}
+
 TEST(Engine, RankCountMismatchThrows) {
   ProgramBuilder b(4);
   for (Rank r = 0; r < 4; ++r) b.on(r).enter("m").exit();
@@ -318,6 +350,188 @@ TEST(Engine, StatsCountMessagesAndCollectives) {
   EXPECT_EQ(res.stats.collectives, 2u);
   EXPECT_GT(res.stats.events, 0u);
   EXPECT_GT(res.stats.sweeps, 0u);
+}
+
+// --- golden simulator and measurement digests ------------------------------
+//
+// tests/golden/sim_digests.txt holds, per workload, an FNV-1a digest of
+// the bit pattern of every ExecResult field and one of every field of
+// the collect_traces output (definitions, events and sync records). The
+// engine and the measurement layer must reproduce both exactly. To
+// regenerate after an intended output change, run this test with
+// MSC_WRITE_SIM_DIGESTS=<path> and copy the file over the fixture.
+
+class Digest {
+ public:
+  void u64(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h_ ^= (v >> (8 * i)) & 0xffU;
+      h_ *= 0x100000001b3ULL;
+    }
+  }
+  void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
+  void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
+  void str(const std::string& s) {
+    u64(s.size());
+    for (const char c : s) u64(static_cast<unsigned char>(c));
+  }
+  [[nodiscard]] std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_{0xcbf29ce484222325ULL};
+};
+
+std::uint64_t exec_digest(const ExecResult& res) {
+  Digest d;
+  d.u64(res.per_rank.size());
+  for (const auto& evs : res.per_rank) {
+    d.u64(evs.size());
+    for (const ExecEvent& e : evs) {
+      d.u64(static_cast<std::uint64_t>(e.type));
+      d.f64(e.time.s);
+      d.i64(e.region.get());
+      d.i64(e.peer);
+      d.i64(e.tag);
+      d.f64(e.bytes);
+      d.i64(e.comm.get());
+      d.i64(e.root);
+      d.f64(e.sent_bytes);
+      d.f64(e.recvd_bytes);
+    }
+  }
+  d.f64(res.end_time.s);
+  d.u64(res.rank_end.size());
+  for (const TrueTime t : res.rank_end) d.f64(t.s);
+  d.u64(res.stats.messages);
+  d.f64(res.stats.message_bytes);
+  d.u64(res.stats.collectives);
+  d.u64(res.stats.events);
+  d.u64(res.stats.sweeps);
+  return d.value();
+}
+
+std::uint64_t trace_digest(const tracing::TraceCollection& tc) {
+  Digest d;
+  d.u64(static_cast<std::uint64_t>(tc.scheme));
+  d.u64(tc.synchronized ? 1 : 0);
+  d.u64(tc.defs.regions.size());
+  for (std::size_t i = 0; i < tc.defs.regions.size(); ++i)
+    d.str(tc.defs.regions.name(RegionId{static_cast<int>(i)}));
+  d.u64(tc.defs.metahosts.size());
+  for (const auto& m : tc.defs.metahosts) {
+    d.i64(m.id.get());
+    d.str(m.name);
+  }
+  d.u64(tc.defs.locations.size());
+  for (const auto& l : tc.defs.locations) {
+    d.i64(l.machine.get());
+    d.i64(l.node.get());
+    d.i64(l.process);
+    d.i64(l.thread);
+  }
+  d.u64(tc.defs.comms.size());
+  for (const auto& c : tc.defs.comms) {
+    d.i64(c.id.get());
+    d.str(c.name);
+    d.u64(c.members.size());
+    for (const Rank m : c.members) d.i64(m);
+  }
+  d.u64(tc.ranks.size());
+  for (const auto& lt : tc.ranks) {
+    d.i64(lt.rank);
+    d.u64(lt.events.size());
+    for (const auto& e : lt.events) {
+      d.u64(static_cast<std::uint64_t>(e.type));
+      d.f64(e.time);
+      d.i64(e.region.get());
+      d.i64(e.peer);
+      d.i64(e.tag);
+      d.f64(e.bytes);
+      d.i64(e.comm.get());
+      d.i64(e.root);
+      d.f64(e.sent_bytes);
+      d.f64(e.recvd_bytes);
+    }
+    d.u64(lt.sync.size());
+    for (const auto& s : lt.sync) {
+      d.i64(s.phase);
+      d.i64(s.ref_rank);
+      d.f64(s.local_mid);
+      d.f64(s.offset);
+      d.f64(s.error_bound);
+    }
+  }
+  return d.value();
+}
+
+// steady-512 (ROADMAP) and the four-metahost ensemble, scaled to 64 ranks.
+const char* kSteady64 = R"({"name":"steady-64","seed":11,
+ "topology":{"metahosts":[
+   {"name":"Alpha","nodes":8,"cpus_per_node":4,"speed":1.0,"latency_us":25,"jitter_us":1,"bandwidth_gbps":1.0},
+   {"name":"Beta","nodes":8,"cpus_per_node":4,"speed":0.6,"latency_us":40,"jitter_us":1.5,"bandwidth_gbps":0.5}],
+  "external":{"latency_us":950,"jitter_us":4,"bandwidth_gbps":1.25,"asymmetry":0.08},
+  "placement":[{"metahost":0,"nodes":8,"procs_per_node":4},{"metahost":1,"nodes":8,"procs_per_node":4}]},
+ "workload":{"kind":"metatrace","coupling_steps":10,"cg_iterations":100,"field_mb_total":64},
+ "sync":"hierarchical-two"})";
+
+const char* kEnsemble64 = R"({"name":"ensemble-64","seed":11,
+ "topology":{"metahosts":[
+   {"name":"Alpha","nodes":4,"cpus_per_node":4,"speed":1.0,"latency_us":25,"jitter_us":1,"bandwidth_gbps":1.0},
+   {"name":"Beta","nodes":4,"cpus_per_node":4,"speed":0.8,"latency_us":30,"jitter_us":1.2,"bandwidth_gbps":0.8},
+   {"name":"Gamma","nodes":4,"cpus_per_node":4,"speed":0.6,"latency_us":40,"jitter_us":1.5,"bandwidth_gbps":0.5},
+   {"name":"Delta","nodes":4,"cpus_per_node":4,"speed":0.9,"latency_us":30,"jitter_us":1.2,"bandwidth_gbps":1.0}],
+  "external":{"latency_us":950,"jitter_us":4,"bandwidth_gbps":1.25,"asymmetry":0.08},
+  "placement":[{"metahost":0,"nodes":4,"procs_per_node":4},{"metahost":1,"nodes":4,"procs_per_node":4},
+               {"metahost":2,"nodes":4,"procs_per_node":4},{"metahost":3,"nodes":4,"procs_per_node":4}]},
+ "workload":{"kind":"ensemble","members":4,"cycles":10,"timesteps":40},
+ "sync":"hierarchical-two"})";
+
+/// "<exec digest> <trace digest>" of one workload, as 16-digit hex.
+std::string digests_of(const std::string& name) {
+  workloads::ExperimentData data = [&] {
+    if (name == "steady-64" || name == "ensemble-64") {
+      const auto spec = workloads::parse_experiment(
+          Json::parse(name == "steady-64" ? kSteady64 : kEnsemble64));
+      return workloads::run_experiment(spec.topology, spec.program,
+                                       spec.config);
+    }
+    const seeds::SeedCase c = seeds::seed_case(name);
+    return workloads::run_experiment(c.topo, c.prog,
+                                     seeds::seed_config(c.skewed));
+  }();
+  char buf[40];
+  std::snprintf(buf, sizeof buf, "%016llx %016llx",
+                static_cast<unsigned long long>(exec_digest(data.exec)),
+                static_cast<unsigned long long>(trace_digest(data.traces)));
+  return buf;
+}
+
+TEST(Engine, GoldenDigestsOfSimulationAndMeasurement) {
+  std::vector<std::string> names{"steady-64", "ensemble-64"};
+  for (const auto& s : seeds::seed_names()) names.push_back(s);
+  std::map<std::string, std::string> got;
+  for (const auto& n : names) got[n] = digests_of(n);
+
+  if (const char* out = std::getenv("MSC_WRITE_SIM_DIGESTS")) {
+    std::ofstream f(out);
+    f << "# FNV-1a digests of simmpi::execute and tracing::collect_traces\n"
+         "# output per workload: <name> <ExecResult> <TraceCollection>.\n"
+         "# See Engine.GoldenDigestsOfSimulationAndMeasurement.\n";
+    for (const auto& n : names) f << n << ' ' << got[n] << '\n';
+    GTEST_SKIP() << "wrote " << out;
+  }
+
+  std::ifstream in(MSC_SIM_DIGEST_FILE);
+  ASSERT_TRUE(in.good()) << "missing fixture " << MSC_SIM_DIGEST_FILE;
+  std::map<std::string, std::string> want;
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.empty() || line[0] == '#') continue;
+    const auto sp = line.find(' ');
+    want[line.substr(0, sp)] = line.substr(sp + 1);
+  }
+  ASSERT_EQ(want.size(), names.size());
+  for (const auto& n : names) EXPECT_EQ(got[n], want[n]) << n;
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/error.hpp"
 
 namespace metascope::simmpi {
@@ -30,6 +32,21 @@ TEST(CommSet, RejectsBadMembers) {
   EXPECT_THROW(cs.create("bad", {0, 9}), Error);
   EXPECT_THROW(cs.create("empty", {}), Error);
   EXPECT_THROW((void)cs.get(CommId{5}), Error);
+}
+
+TEST(CommSet, RejectsDuplicateMembersNamingTheRank) {
+  CommSet cs(4);
+  try {
+    cs.create("dup", {1, 3, 3});
+    FAIL() << "duplicate member accepted";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.context().rank, 3);
+    EXPECT_NE(std::string(e.what()).find("rank 3"), std::string::npos)
+        << e.what();
+  }
+  // The rejected communicator was not registered.
+  EXPECT_EQ(cs.size(), 1u);
+  EXPECT_EQ(cs.get(cs.create("ok", {3, 1})).local_rank(1), 1);
 }
 
 TEST(ProgramBuilder, MpiRegionsPreInterned) {
