@@ -1,20 +1,23 @@
-// The two trace analyzers (paper §3 "Trace analysis", §4 "Parallel trace
+// The trace analyzers (paper §3 "Trace analysis", §4 "Parallel trace
 // analysis"):
 //
 //  - analyze_serial: the KOJAK-style baseline — conceptually merges the
-//    local traces into one global stream and searches it in one pass;
-//  - analyze_parallel: the SCALASCA-style analyzer — re-enacts the
-//    application's communication, exchanging only the few bytes each
-//    pattern needs (timestamps and call-path ids) instead of whole
-//    traces. Each rank's replay is a resumable task driven by a bounded
-//    worker pool (replay_scheduler.hpp), so the analysis scales to
-//    thousands of ranks without spawning a thread per rank. Each task
-//    touches only its own local trace, which is why this analyzer works
-//    without a shared file system.
+//    local traces into one global stream and searches it in one pass.
+//    It keeps its own per-event annotation (prepare.hpp), so it stays an
+//    independent oracle for the replay;
+//  - analyze_parallel / analyze_streaming: the SCALASCA-style analyzer —
+//    one replay (stream_analyzer.cpp) that re-enacts the application's
+//    communication, exchanging only the few bytes each pattern needs
+//    instead of whole traces. Each rank's replay is a resumable task on
+//    a bounded worker pool (replay_scheduler.hpp) that touches only its
+//    own local trace, which is why this analyzer works without a shared
+//    file system. The two entry points differ only in where a task's
+//    events come from: an in-memory collection, or a v3 archive.
 //
-// Both collect match records into the shared replay core
-// (replay_core.hpp), which evaluates the pattern formulas in one
-// canonical order: the cubes are bit-identical, and tests enforce it.
+// All of them run the same structure walk first (call-path ids,
+// validation) and collect match records that the pattern engine
+// evaluates in one canonical order: the cubes are bit-identical, and
+// tests enforce it.
 #pragma once
 
 #include <cstddef>
@@ -42,22 +45,23 @@ namespace metascope::analysis {
 struct AnalysisStats {
   std::size_t messages{0};
   std::size_t collective_instances{0};
-  /// Bytes moved between analysis workers during the replay (parallel
-  /// analyzer only). Compare against trace_bytes_in_memory: the paper's
+  /// Bytes moved between analysis workers during the replay (zero for
+  /// analyze_serial). Compare against trace_bytes_in_memory: the paper's
   /// claim is that this is much smaller than shipping traces around.
   std::size_t replay_bytes{0};
   /// Resident size of the trace data the analysis held at its peak —
   /// deliberately NOT the encoded on-disk size, which depends on the
   /// trace format version and is accounted separately by the archive
   /// layer (telemetry counters archive.bytes_on_disk / .read.bytes).
-  /// Materializing analyzers report tracing::in_memory_bytes of the
-  /// whole collection; analyze_streaming counts only resident windows
-  /// (plus the always-materialized sync records) and reports the
-  /// high-water mark, which is what the memory budget bounds.
+  /// Analyses of an in-memory collection report
+  /// tracing::in_memory_bytes of the whole collection; analyze_streaming
+  /// counts only resident windows (plus the always-materialized sync
+  /// records) and reports the high-water mark, which is what the memory
+  /// budget bounds.
   std::size_t trace_bytes_in_memory{0};
   std::size_t events{0};
 
-  // Replay-scheduler counters (parallel analyzer only; zero for serial).
+  // Replay-scheduler counters (zero for analyze_serial).
   /// Worker threads the pool actually used.
   std::size_t replay_workers{0};
   /// Rank replay tasks driven to completion (== ranks).
@@ -103,7 +107,8 @@ struct ReplayOptions {
   /// Send/Recv inside it still awaits its enclosing call's exit (in
   /// practice a handful of events: messages sit directly inside their
   /// MPI call region). 0 = a generous default window (4096 events per
-  /// rank). Ignored by the materializing analyzers.
+  /// rank). Ignored by analyze_serial and analyze_parallel, whose
+  /// traces are already resident.
   std::size_t memory_budget_bytes{0};
 };
 
@@ -114,16 +119,18 @@ AnalysisResult analyze_serial(const tracing::TraceCollection& tc,
 
 /// Parallel replay-based pattern search on a bounded worker pool:
 /// message matching re-enacted over lock-striped in-memory channels,
-/// one resumable task per rank. Produces a cube bit-identical to
-/// analyze_serial, for any worker count.
+/// one resumable task per rank, each reading its rank's resident event
+/// vector in place. Produces a cube bit-identical to analyze_serial,
+/// for any worker count.
 AnalysisResult analyze_parallel(const tracing::TraceCollection& tc,
                                 const ReplayOptions& opts = {});
 
-/// Out-of-core streaming replay over a v3 archive: the same parallel
-/// replay, but each rank task decodes its trace in bounded windows
-/// straight out of the mapped file (tracing::TraceStream) instead of
-/// materializing the event vectors first. Peak trace-resident memory is
-/// bounded by ReplayOptions::memory_budget_bytes; the severity cube is
+/// Out-of-core streaming replay over a v3 archive: the same replay as
+/// analyze_parallel, but each rank task decodes its trace in bounded
+/// windows straight out of the mapped file (tracing::TraceStream)
+/// instead of materializing the event vectors first. Peak
+/// trace-resident memory is bounded by
+/// ReplayOptions::memory_budget_bytes; the severity cube is
 /// bit-identical to analyze_serial / analyze_parallel for any budget
 /// and worker count. Requires a synchronized source (or scheme None) —
 /// clock correction rewrites timestamps in memory, so archives must be

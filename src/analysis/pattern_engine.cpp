@@ -135,15 +135,8 @@ PatternEngine::PatternEngine(PatternRegistry& registry, report::Cube& cube)
 }
 
 PatternSet PatternEngine::install(const tracing::TraceCollection& tc,
-                                  const PreparedTrace& prep) {
-  const PatternSet ps = install_trees(tc, prep.calls, prep.region_table);
-  region_pass(prep.excl_time);
-  return ps;
-}
-
-PatternSet PatternEngine::install_trees(const tracing::TraceCollection& tc,
-                                        const report::CallTree& calls,
-                                        const RegionClassTable& region_table) {
+                                  const report::CallTree& calls,
+                                  const RegionClassTable& region_table) {
   tc_ = &tc;
   region_table_ = &region_table;
   registry_->install(cube_->metrics);
@@ -154,7 +147,7 @@ PatternSet PatternEngine::install_trees(const tracing::TraceCollection& tc,
 }
 
 void PatternEngine::region_pass(
-    const std::vector<std::vector<ExclusiveTime>>& excl_time) {
+    const std::vector<ExclusiveTimes>& excl_time) {
   MSC_CHECK(tc_ != nullptr, "PatternEngine::region_pass before install");
   // Region pass: per-cnode categories from the class table (indexed
   // loads, no strings), then ranks ascending, call paths in id order —
@@ -166,16 +159,17 @@ void PatternEngine::region_pass(
         calls.node(CallPathId{static_cast<int>(c)}).region);
 
   for (Rank r = 0; r < tc_->num_ranks(); ++r) {
-    for (const auto& et : excl_time[static_cast<std::size_t>(r)]) {
+    for (const auto& [cnode, seconds] :
+         excl_time[static_cast<std::size_t>(r)]) {
       RegionCtx ctx;
-      ctx.cnode = et.cnode;
+      ctx.cnode = CallPathId{cnode};
       ctx.rank = r;
-      ctx.category = cats[static_cast<std::size_t>(et.cnode.get())];
+      ctx.category = cats[static_cast<std::size_t>(cnode)];
       for (const Sub& s : on_region_) {
         sink_.set_current(s.slot);
         s.det->region_enter(ctx, sink_);
       }
-      ctx.seconds = et.seconds;
+      ctx.seconds = seconds;
       for (const Sub& s : on_region_) {
         sink_.set_current(s.slot);
         s.det->region_exit(ctx, sink_);

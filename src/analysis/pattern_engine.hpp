@@ -253,31 +253,24 @@ class PatternRegistry {
 
 /// Drives one analysis: builds the cube skeleton from the registry,
 /// runs the region pass, then dispatches the collected match records in
-/// canonical order. Both analyzers share this one dispatch path — the
-/// serial/parallel difference ends at record collection.
+/// canonical order. Every analyzer shares this one dispatch path — the
+/// difference between them ends at record collection.
 class PatternEngine {
  public:
   PatternEngine(PatternRegistry& registry, report::Cube& cube);
 
   /// Installs the metric tree into the cube, copies the call/region/
-  /// system trees, binds detectors, and runs the region pass (base
-  /// category time). Returns the PatternSet view over the tree.
+  /// system trees and binds detectors. Returns the PatternSet view over
+  /// the tree. `region_table` must outlive dispatch().
   PatternSet install(const tracing::TraceCollection& tc,
-                     const PreparedTrace& prep);
+                     const report::CallTree& calls,
+                     const RegionClassTable& region_table);
 
-  /// Streaming variant of install: trees and detector binding only, no
-  /// region pass. The streaming analyzer's call tree and exclusive
-  /// times come out of its own windowed passes, so it installs first
-  /// and runs region_pass() once the replay has accumulated them.
-  PatternSet install_trees(const tracing::TraceCollection& tc,
-                           const report::CallTree& calls,
-                           const RegionClassTable& region_table);
-
-  /// The region pass over per-rank exclusive times, detached from
-  /// PreparedTrace: ranks ascending, each rank's call paths in id
-  /// order — exactly the add sequence install(tc, prep) runs, so cubes
-  /// stay bit-identical whichever entry point built the trees.
-  void region_pass(const std::vector<std::vector<ExclusiveTime>>& excl_time);
+  /// The region pass (base category time) over per-rank exclusive
+  /// times: ranks ascending, each rank's call paths in id order. Run it
+  /// after install() and before dispatch(), whenever the exclusive
+  /// times are complete (the replay accumulates them as it goes).
+  void region_pass(const std::vector<ExclusiveTimes>& excl_time);
 
   /// Sorts the records into canonical order, dispatches p2p_matched
   /// once per message and collective_completed once per instance, runs

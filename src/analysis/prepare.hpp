@@ -1,21 +1,87 @@
-// Pre-analysis pass ("definition unification"): builds the global call
-// tree, annotates every event with its call path and enclosing-operation
-// times, and accumulates per-call-path exclusive times. Call-path ids
-// are assigned in a serial first pass (ranks in order, events in order)
-// so that ids — and therefore cubes — are bit-identical between the
-// serial and the parallel analysis for any worker count; the heavy
-// per-event annotation then fans out one task per rank.
+// Pre-analysis ("definition unification"): the structure walk every
+// analyzer runs before any replay, and analyze_serial's own per-event
+// annotation on top of it. The replay (stream_analyzer.cpp) annotates
+// events as its rank tasks consume them instead; keeping the KOJAK
+// baseline's annotation code separate keeps it an independent oracle.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <map>
+#include <string>
 #include <vector>
 
 #include "analysis/patterns.hpp"
 #include "report/cube.hpp"
+#include "tracing/stream.hpp"
 #include "tracing/trace.hpp"
 
 namespace metascope::analysis {
+
+/// The structure walk over one collection's ranks. Ranks in order,
+/// events in order, get_or_add at every Enter: that order assigns the
+/// call-path ids, so cubes are bit-identical between the analyzers for
+/// any worker count. Collectives are counted per communicator for the
+/// completeness check, so no replay task can wait on an instance that
+/// never completes. Every failure throws Error with ErrorCode::Corrupt,
+/// the rank as context, and a message naming the event position:
+///  - Exit/CollExit without a matching Enter, an Enter left open at the
+///    end of the trace, a negative region duration, a message event
+///    outside any region;
+///  - an Enter/CollExit region id outside the region table, a CollExit
+///    communicator id outside the communicator table;
+///  - (finish) a communicator member that recorded a different number
+///    of collectives on it than the first member, or a communicator
+///    listing a rank outside the collection.
+class StructureWalk {
+ public:
+  /// Call paths are added to `calls`; `num_ranks` sizes the collective
+  /// counts.
+  StructureWalk(const tracing::TraceDefs& defs, std::size_t num_ranks,
+                report::CallTree& calls);
+
+  /// Starts `rank`'s walk. Ranks must come in ascending order.
+  void begin(Rank rank);
+  /// Walks one event. Returns the entered call path for an Enter, an
+  /// invalid id otherwise.
+  CallPathId step(const tracing::LightEvent& e);
+  /// What one rank's walk saw.
+  struct RankTotals {
+    std::uint32_t events{0};
+    /// Communication events (Send/Recv/CollExit).
+    std::uint32_t ops{0};
+  };
+  /// Ends the rank's walk.
+  RankTotals end();
+  /// After the last rank: the collective-completeness check, then the
+  /// "prepare.ranks" / "prepare.call_paths" telemetry.
+  void finish() const;
+
+ private:
+  [[noreturn]] void fail(const std::string& what) const;
+
+  struct Open {
+    CallPathId cnode;
+    double enter_time;
+  };
+  const tracing::TraceDefs* defs_;
+  report::CallTree* calls_;
+  std::size_t num_ranks_;
+  /// [comm][rank] collectives recorded.
+  std::vector<std::vector<int>> coll_counts_;
+  std::vector<Open> stack_;
+  Rank rank_{kNoRank};
+  std::uint32_t index_{0};
+  std::uint32_t ops_{0};
+};
+
+/// Runs the structure walk over an in-memory collection, ranks in
+/// order, then the completeness check. Rank slot r must hold rank r's
+/// trace. Returns each rank's totals. When `enters` is given it
+/// receives, per rank, the call path of every Enter in event order.
+std::vector<StructureWalk::RankTotals> walk_structure(
+    const tracing::TraceCollection& tc, report::CallTree& calls,
+    std::vector<std::vector<CallPathId>>* enters = nullptr);
 
 /// Per-event annotations for one rank, index-aligned with the trace's
 /// event vector.
@@ -28,38 +94,24 @@ struct EventAnnotations {
   /// For Send/Recv/CollExit events: timestamp of the enclosing MPI call's
   /// Exit (== CollExit time for collectives).
   std::vector<double> op_exit;
-  /// Indices of the communication events (Send/Recv/CollExit), in trace
-  /// order. Replay loops iterate this instead of the full event vector,
-  /// skipping Enter/Exit entirely.
-  std::vector<std::uint32_t> op_events;
 };
 
-/// One (call path, seconds) exclusive-time contribution.
-struct ExclusiveTime {
-  CallPathId cnode;
-  double seconds{0.0};
-};
+/// One rank's exclusive seconds per call-path id, summed over
+/// occurrences (ordered: the region pass walks call paths in id order).
+using ExclusiveTimes = std::map<int, double>;
 
 struct PreparedTrace {
-  const tracing::TraceCollection* tc{nullptr};
   report::CallTree calls;
   /// RegionId -> {category, collective kind, blocking-send?}, computed
-  /// once here so replay hot paths never classify by region name.
+  /// once here so hot paths never classify by region name.
   RegionClassTable region_table;
   std::vector<EventAnnotations> per_rank;
-  /// Exclusive time per call path, per rank (summed over occurrences).
-  std::vector<std::vector<ExclusiveTime>> excl_time;
-  /// Per-rank span (last event time - first event time).
-  std::vector<double> rank_span;
+  std::vector<ExclusiveTimes> excl_time;  ///< per rank
 };
 
-/// Annotates all ranks. Throws Error on malformed traces (unbalanced
-/// Enter/Exit, events outside any region) and on incomplete collective
-/// instances (a communicator member missing from a collective), so both
-/// analyzers fail fast before any replay starts. The per-rank annotation
-/// pass runs on up to `max_workers` threads (0 = hardware concurrency);
-/// results are identical for every worker count.
-PreparedTrace prepare(const tracing::TraceCollection& tc,
-                      std::size_t max_workers = 0);
+/// analyze_serial's prepare: the structure walk (throws Error on any
+/// malformed trace, before anything is annotated), then per-event
+/// annotation of every rank on the calling thread.
+PreparedTrace prepare(const tracing::TraceCollection& tc);
 
 }  // namespace metascope::analysis

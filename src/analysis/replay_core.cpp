@@ -31,7 +31,7 @@ std::vector<CollInstance> group_collectives(const tracing::TraceCollection& tc,
     const auto ri = static_cast<std::size_t>(trace.rank);
     const auto& ann = prep.per_rank[ri];
     std::fill(coll_seq.begin(), coll_seq.end(), 0);
-    for (const std::uint32_t i : ann.op_events) {
+    for (std::uint32_t i = 0; i < trace.events.size(); ++i) {
       const auto& e = trace.events[i];
       if (e.type != EventType::CollExit) continue;
       const int comm = e.comm.get();
@@ -60,10 +60,10 @@ std::vector<CollInstance> group_collectives(const tracing::TraceCollection& tc,
   return out;
 }
 
-void fill_trace_stats(const tracing::TraceCollection& tc,
+void fill_trace_stats(std::size_t events, std::size_t resident_bytes,
                       AnalysisStats& stats) {
-  stats.events = tc.total_events();
-  stats.trace_bytes_in_memory = tracing::in_memory_bytes(tc);
+  stats.events = events;
+  stats.trace_bytes_in_memory = resident_bytes;
   telemetry::counter("analysis.events").add(stats.events);
   telemetry::counter("analysis.trace_bytes_in_memory")
       .add(stats.trace_bytes_in_memory);

@@ -1,12 +1,10 @@
-// Match-record collection shared by both analyzers. The serial
-// (merged-trace) and parallel (replay) analyzers used to duplicate the
-// p2p-side construction and collective-instance grouping; they now
-// differ only in *how* they collect the raw match records:
+// Match records — what every analyzer collects and the pattern engine
+// evaluates. The analyzers differ only in *how* they collect them:
 //
 //  - analyze_serial matches messages post-mortem and walks each rank's
-//    op events once;
-//  - analyze_parallel re-enacts the communication on a bounded worker
-//    pool and collects the same records from the replay.
+//    annotated events once (make_side, group_collectives below);
+//  - analyze_parallel / analyze_streaming re-enact the communication on
+//    a bounded worker pool and collect the same records from the replay.
 //
 // Either way the records funnel into PatternEngine::dispatch
 // (pattern_engine.hpp), which fires the detector callbacks in one
@@ -46,22 +44,21 @@ struct CollInstance {
   RegionId region;
 };
 
-/// Builds one side of a p2p transfer from a rank's annotated event.
+/// Builds one side of a p2p transfer from a rank's annotated event
+/// (analyze_serial).
 P2pSide make_side(const PreparedTrace& prep, Rank rank, std::uint32_t index);
 
 /// Groups every CollExit event into instances keyed by (comm, seq) using
 /// per-rank flat sequence counters. Used by the serial analyzer; the
-/// parallel analyzer builds the same instances during the replay.
+/// replay builds the same instances as its tasks arrive.
 std::vector<CollInstance> group_collectives(const tracing::TraceCollection& tc,
                                             const PreparedTrace& prep);
 
-/// Fills the trace-volume stats the *materializing* analyzers report:
-/// total events and resident trace bytes, where "resident" is the whole
-/// collection (tracing::in_memory_bytes) because that is what those
-/// analyzers actually hold. analyze_streaming does not call this — it
-/// accounts only the windows resident at once and reports the
-/// high-water mark (asserted against the budget in the stream tests).
-void fill_trace_stats(const tracing::TraceCollection& tc,
+/// Fills the trace-volume stats — total events and resident trace
+/// bytes — and adds them to their registry counters. "Resident" is what
+/// the analysis held: tracing::in_memory_bytes of an in-memory
+/// collection, the windows' high-water mark under analyze_streaming.
+void fill_trace_stats(std::size_t events, std::size_t resident_bytes,
                       AnalysisStats& stats);
 
 }  // namespace metascope::analysis

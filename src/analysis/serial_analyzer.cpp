@@ -14,13 +14,14 @@ AnalysisResult analyze_serial(const tracing::TraceCollection& tc,
             "analyze_serial requires synchronized timestamps");
   AnalysisResult res;
   // The serial analyzer is the single-threaded reference (and the
-  // baseline benches compare against), so its prepare stays on one
-  // worker too.
-  const PreparedTrace prep = prepare(tc, 1);
+  // baseline benches compare against): its prepare runs the shared
+  // structure walk, then its own annotation on the calling thread.
+  const PreparedTrace prep = prepare(tc);
   PatternRegistry registry = PatternRegistry::standard();
   registry.select(opts.patterns);
   PatternEngine engine(registry, res.cube);
-  res.patterns = engine.install(tc, prep);
+  res.patterns = engine.install(tc, prep.calls, prep.region_table);
+  engine.region_pass(prep.excl_time);
 
   // Post-mortem matching resolves both sides of every message; the
   // collective grouping walks each rank's op events once. Evaluation
@@ -38,7 +39,8 @@ AnalysisResult analyze_serial(const tracing::TraceCollection& tc,
                             p.recv.index});
 
   engine.dispatch(std::move(p2p), group_collectives(tc, prep), res.stats);
-  fill_trace_stats(tc, res.stats);
+  fill_trace_stats(tc.total_events(), tracing::in_memory_bytes(tc),
+                   res.stats);
   return res;
 }
 

@@ -1,37 +1,47 @@
-// Out-of-core streaming replay: the SCALASCA-style parallel analysis
-// of parallel_analyzer.cpp, re-targeted at v3 archives on disk instead
-// of materialized event vectors. Each rank task owns a windowed cursor
-// (tracing::TraceStream) over its mapped trace file and decodes one
-// bounded window of communication events at a time; a consumed window
-// is evicted before the next one is brought in, so peak trace-resident
-// memory is ~ budget instead of ~ trace size.
+// The replay: SCALASCA-style parallel trace analysis (paper §4) on a
+// bounded worker pool. Every application rank becomes a resumable task
+// that reads only its own local trace, from a per-rank event source:
 //
-// Two streaming passes replace prepare():
+//  - analyze_parallel: the borrowed LocalTrace::events vector — one
+//    chunk that is already decoded, so no copy and no decode;
+//  - analyze_streaming: a tracing::TraceStream over the rank's mapped v3
+//    file, decoded chunk by chunk, so peak trace-resident memory is
+//    ~ budget instead of ~ trace size.
 //
-//  - a *light* pass (serial, ranks in order) over the type/time/region/
-//    comm/peer columns only: call-path ids are assigned by the identical
-//    get_or_add walk the materializing prepare runs, every structural
-//    check fires with the identical diagnostic, and collective-instance
-//    completeness is validated up front so no replay task can wait on
-//    an instance that never completes;
-//  - the *window* pass inside each replay task: per-event annotation
-//    (call-path tags via CallTree::find against the tree the light pass
-//    built, enclosing-op windows, exclusive times) happens as events
-//    decode, and only annotated communication events are retained.
+// The task re-enacts the recorded communication, moving only the few
+// bytes each pattern formula needs. The exchange protocol per message
+// mirrors the original communication direction:
 //
-// A window nominally holds budget/(ranks * per-event footprint) events
-// and extends only while a Send/Recv in it still awaits its enclosing
+//   sender:   push {rank, enter, exit, cnode}  -> forward channel
+//   receiver: pop                              <- forward channel
+//
+// Senders never block, exactly like an eager MPI send. A receiver whose
+// channel is empty — or a collective member whose instance is not yet
+// complete — *suspends* (yields its worker back to the pool) instead of
+// blocking an OS thread, so a pool sized by hardware concurrency drives
+// thousands of ranks. Channels and collective instances live in
+// lock-striped hash maps keyed by (src, dst, tag, comm) / (comm, seq):
+// unrelated channels never contend on one global lock.
+//
+// Before the replay, the structure walk (prepare.hpp) assigns the
+// call-path ids and rejects malformed traces. Each task then annotates
+// its events as it consumes them, one window at a time — call-path
+// tags via CallTree::find against the walk's tree,
+// enclosing-op windows, exclusive times — and keeps only the annotated
+// communication events. An in-memory trace is one window. A v3 window
+// nominally holds a number of them derived from the memory budget and
+// extends only while a Send/Recv in it still awaits its enclosing
 // call's exit; the budget drives window *sizing*, never cross-rank
 // blocking, so tiny budgets degrade to single-event windows but cannot
-// deadlock. Severity accumulation order is unchanged — same per-rank
-// exclusive-time chains, same canonical dispatch — so the cube is
-// bit-identical to analyze_serial / analyze_parallel for any budget.
+// deadlock.
 //
-// Permissive sources (StreamSource::quarantined) are filtered on the
-// fly, mirroring tracing::prune_quarantined: events of quarantined
-// ranks never decode, surviving ranks drop Send/Recv with a
-// quarantined peer, and CollExit on a communicator containing one
-// degrades to a plain Exit.
+// The replay only *collects* match records; pattern evaluation happens
+// afterwards in the pattern engine's canonical dispatch order, which is
+// what makes the cube bit-identical to analyze_serial for any worker
+// count, window size and interleaving.
+//
+// Permissive v3 sources (StreamSource::quarantined) are filtered on the
+// fly through the tracing::QuarantineMask that prune_quarantined uses.
 
 #include <algorithm>
 #include <atomic>
@@ -39,9 +49,8 @@
 #include <cstdint>
 #include <deque>
 #include <exception>
-#include <map>
+#include <limits>
 #include <optional>
-#include <sstream>
 #include <utility>
 #include <vector>
 
@@ -55,6 +64,7 @@
 #include "common/error.hpp"
 #include "common/parallel.hpp"
 #include "telemetry/metrics.hpp"
+#include "telemetry/progress.hpp"
 #include "telemetry/span.hpp"
 #include "tracing/stream.hpp"
 
@@ -65,12 +75,17 @@ using tracing::EventType;
 
 namespace {
 
+/// Timestamps + call path one replay side shares with its peer.
+/// Wire size when packed: rank (4) + two timestamps (16) + cnode (4).
 constexpr std::size_t kPeerWireBytes = 24;
 constexpr std::size_t kNoWaiter = static_cast<std::size_t>(-1);
-/// Window size (events per rank) when no memory budget is given.
+/// Window size (entries per rank) for a v3 source without a memory
+/// budget. An in-memory trace is one chunk and one window: it is
+/// resident anyway.
 constexpr std::size_t kDefaultWindowEvents = 4096;
-/// Decode granularity: events pulled from the column cursors per call.
-/// Bounded so the lookahead ring stays small next to tiny windows.
+/// Decode granularity of a v3 source: events pulled from the column
+/// cursors per call. Bounded so the decode buffer stays small next to
+/// tiny windows.
 constexpr std::size_t kMaxDecodeChunk = 256;
 
 struct PeerInfo {
@@ -80,6 +95,9 @@ struct PeerInfo {
   CallPathId cnode;
 };
 
+/// One message channel: FIFO of in-flight sends plus at most one
+/// suspended receiver (each channel has a single consumer — the
+/// destination rank replays its events in order).
 struct Channel {
   std::deque<PeerInfo> q;
   std::size_t waiter{kNoWaiter};
@@ -102,6 +120,8 @@ struct ChannelKeyHash {
   }
 };
 
+/// One collective instance under construction: arrived members plus the
+/// tasks suspended until the last member arrives.
 struct CollGroup {
   std::vector<CollMember> members;
   Rank root{kNoRank};
@@ -121,36 +141,30 @@ struct CollKeyHash {
   }
 };
 
-/// One annotated communication event resident in a rank's window.
+/// One annotated communication event resident in a rank's window:
+/// exactly the fields the replay reads.
 struct WinEvent {
-  Event e;
-  CallPathId cnode;
   double op_enter{0.0};
   double op_exit{0.0};
-  /// Position in the rank's filtered event stream — the canonical
-  /// receive-order sort key (monotone per rank, like the materialized
-  /// analyzers' raw event index over the pruned collection).
+  /// Position in the rank's (filtered) event stream — the canonical
+  /// receive-order sort key.
   std::uint32_t index{0};
+  CallPathId cnode;
+  /// Send: destination; Recv: source; CollExit: root.
+  Rank peer{kNoRank};
+  /// Send/Recv: message tag; CollExit: region id.
+  int tag_or_region{0};
+  int comm{0};
+  EventType type{EventType::Send};
+  /// Send/Recv still awaiting its enclosing call's exit.
+  bool open{false};
 };
+static_assert(sizeof(WinEvent) <= 40, "window entries stay compact");
 
-/// Quarantine filtering state, mirroring tracing::prune_quarantined.
-struct QuarantineFilter {
-  std::vector<char> rank_q;  ///< by rank: events of these never decode
-  std::vector<char> comm_q;  ///< by comm: collectives here degrade
-
-  [[nodiscard]] bool drop_msg(std::int64_t peer) const {
-    return peer >= 0 && peer < static_cast<std::int64_t>(rank_q.size()) &&
-           rank_q[static_cast<std::size_t>(peer)] != 0;
-  }
-  [[nodiscard]] bool degrade_coll(int comm) const {
-    return comm_q[static_cast<std::size_t>(comm)] != 0;
-  }
-};
-
-/// Trace-resident byte accounting shared by every rank task: the live
-/// total feeds the "analysis.stream.resident_bytes" gauge, the atomic
-/// high-water mark is authoritative for AnalysisStats (it works with
-/// telemetry disabled) and also raises the
+/// Trace-resident byte accounting shared by every rank task of a v3
+/// replay: the live total feeds the "analysis.stream.resident_bytes"
+/// gauge, the atomic high-water mark is authoritative for AnalysisStats
+/// (it works with telemetry disabled) and also raises the
 /// "analysis.stream.resident_bytes_peak" gauge.
 class Residency {
  public:
@@ -182,351 +196,233 @@ class Residency {
   telemetry::Gauge& peak_gauge_;
 };
 
+/// Where a rank task's events come from: a borrowed in-memory event
+/// vector, handed out as one chunk, or a v3 file decoded chunk by chunk.
+struct EventSource {
+  /// In-memory: the borrowed events, until their one chunk is handed out.
+  const std::vector<Event>* mem{nullptr};
+  /// v3: the mapped file and its windowed cursor (nullopt for a
+  /// quarantined rank, which streams zero events).
+  MappedFile file;
+  std::optional<tracing::TraceStream> ts;
+  std::vector<Event> buf;  ///< v3 decode buffer
+  /// The current chunk.
+  const Event* pos{nullptr};
+  const Event* end{nullptr};
+
+  /// Points [pos, end) at the next chunk; false once exhausted.
+  bool next_chunk(std::size_t chunk) {
+    if (mem != nullptr) {
+      pos = mem->data();
+      end = pos + mem->size();
+      mem = nullptr;
+      return true;
+    }
+    if (!ts || ts->at_end()) return false;
+    buf.clear();
+    ts->next(buf, chunk);
+    pos = buf.data();
+    end = pos + buf.size();
+    return true;
+  }
+};
+
 /// One open frame of the window pass's region stack.
 struct Frame {
   CallPathId cnode;
   double enter_time{0.0};
   double child_time{0.0};
-  /// Window slots of Send/Recv events awaiting this frame's exit.
-  std::vector<std::uint32_t> open_ops;
+  /// First window slot that can hold a Send/Recv of this frame.
+  std::uint32_t first_slot{0};
 };
 
-/// Everything one rank task owns: the mapped file and its windowed
-/// cursor, the persistent annotation state bridging windows, the
-/// current window, and the replay-side state.
-struct RankStream {
-  MappedFile file;
-  std::optional<tracing::TraceStream> ts;  ///< nullopt: quarantined rank
-
-  // Decoded-but-unannotated lookahead ring (bounded by kMaxDecodeChunk).
-  std::vector<Event> raw;
-  std::size_t rpos{0};
+/// Everything one rank task owns: its event source, the annotation
+/// state bridging windows, the current window, and the replay state.
+struct RankTask {
+  EventSource src;
 
   // Annotation state, persistent across windows.
   std::vector<Frame> stack;
-  std::size_t open_ops{0};      ///< unfilled Send/Recv in current window
-  std::map<int, double> excl;   ///< per-cnode exclusive seconds
+  std::size_t open_ops{0};      ///< open Send/Recv in the current window
+  ExclusiveTimes excl;
   std::uint32_t next_index{0};  ///< filtered-stream position
 
   // Current window.
   std::vector<WinEvent> win;
   std::size_t wpos{0};
-  std::size_t resident{0};       ///< bytes this rank currently accounts
   std::uint32_t windows_filled{0};
+  std::size_t sync_bytes{0};  ///< v3: always-materialized sync records
+  std::size_t resident{0};    ///< v3: bytes this rank currently accounts
 
   // Replay state.
   std::vector<int> coll_seq;
   std::vector<P2pRecord> records;
   std::uint64_t wire_bytes{0};
 
-  // Tallies from the light pass.
-  std::uint64_t events_kept{0};
-  std::uint64_t pruned{0};
+  // From the structure walk.
+  StructureWalk::RankTotals walked;
+  std::uint64_t pruned{0};  ///< v3: events the quarantine filter dropped
 };
 
-[[noreturn]] void fail_at(Rank rank, std::uint32_t i, const char* what) {
-  std::ostringstream os;
-  os << "malformed trace: rank " << rank << " event " << i << ": " << what;
-  throw Error(os.str());
-}
-
-/// The light pass over one rank: the identical serial walk prepare()'s
-/// pass 1 runs — get_or_add at every Enter, every structural check with
-/// the identical diagnostic — plus per-communicator collective counts
-/// for the completeness validation. Quarantine filtering is applied
-/// first, so indices in diagnostics match the pruned collection's.
-void light_pass(Rank rank, const tracing::TraceStream& ts,
-                const QuarantineFilter& filt, report::CallTree& calls,
-                std::vector<std::vector<int>>& coll_counts, RankStream& rs) {
-  struct Open {
-    CallPathId cnode;
-    double enter_time;
-  };
-  std::vector<Open> stack;
-  std::uint32_t idx = 0;
-  ts.scan_light([&](const tracing::LightEvent& le) {
-    EventType type = le.type;
-    if ((type == EventType::Send || type == EventType::Recv) &&
-        filt.drop_msg(le.peer)) {
-      ++rs.pruned;
-      return;
-    }
-    if (type == EventType::CollExit &&
-        filt.degrade_coll(static_cast<int>(le.comm))) {
-      type = EventType::Exit;
-      ++rs.pruned;
-    }
-    switch (type) {
-      case EventType::Enter: {
-        const CallPathId parent =
-            stack.empty() ? CallPathId{} : stack.back().cnode;
-        const CallPathId c =
-            calls.get_or_add(parent, RegionId{static_cast<int>(le.region)});
-        stack.push_back(Open{c, le.time});
-        break;
-      }
-      case EventType::Exit:
-      case EventType::CollExit: {
-        if (stack.empty()) fail_at(rank, idx, "Exit without Enter");
-        if (le.time - stack.back().enter_time < 0.0)
-          fail_at(rank, idx, "negative region duration");
-        stack.pop_back();
-        if (type == EventType::CollExit)
-          ++coll_counts[static_cast<std::size_t>(le.comm)]
-                       [static_cast<std::size_t>(rank)];
-        break;
-      }
-      case EventType::Send:
-      case EventType::Recv: {
-        if (stack.empty())
-          fail_at(rank, idx, "message event outside any region");
-        break;
-      }
-    }
-    ++idx;
-  });
-  if (!stack.empty()) fail_at(rank, idx, "unclosed region");
-  rs.events_kept = idx;
-}
-
-}  // namespace
-
-AnalysisResult analyze_streaming(const tracing::StreamSource& src,
-                                 const ReplayOptions& opts) {
-  const tracing::TraceCollection& tc = src.defs;
-  MSC_CHECK(tc.synchronized || tc.scheme == tracing::SyncScheme::None,
-            "analyze_streaming requires synchronized timestamps");
-  const auto n = static_cast<std::size_t>(tc.num_ranks());
-  MSC_CHECK(src.paths.size() == n, "stream source paths/defs mismatch");
+/// The replay over prepared rank tasks: installs the cube, runs every
+/// task to completion on the pool, then the region pass and the
+/// canonical dispatch. `residency` is set for a v3 source only: it
+/// turns on the resident-bytes ledger and the window counter. Fills the
+/// match and scheduler stats; trace-volume stats are the caller's.
+AnalysisResult replay(const tracing::TraceCollection& tc,
+                      const report::CallTree& calls,
+                      std::vector<RankTask>& tasks,
+                      const tracing::QuarantineMask& mask,
+                      std::size_t window_events, Residency* residency,
+                      const ReplayOptions& opts) {
   const tracing::TraceDefs& defs = tc.defs;
-
-  QuarantineFilter filt;
-  filt.rank_q.assign(n, 0);
-  for (const Rank r : src.quarantined)
-    filt.rank_q[static_cast<std::size_t>(r)] = 1;
-  filt.comm_q.assign(defs.comms.size(), 0);
-  for (const auto& comm : defs.comms)
-    for (const Rank r : comm.members)
-      if (filt.rank_q[static_cast<std::size_t>(r)] != 0)
-        filt.comm_q[static_cast<std::size_t>(comm.id.get())] = 1;
-
+  const std::size_t n = tasks.size();
   AnalysisResult res;
-  report::CallTree calls;
   const RegionClassTable region_table(defs.regions);
-  std::vector<RankStream> streams(n);
-  Residency residency;
-  telemetry::Counter& windows_counter =
-      telemetry::counter("analysis.stream.windows");
-
-  // Streaming prepare: open every surviving rank's file and run the
-  // light pass, ranks in ascending order so call-path ids match the
-  // materializing prepare exactly. Quarantined ranks stay closed and
-  // stream zero events.
-  {
-    telemetry::ScopedSpan span("prepare");
-    std::vector<std::vector<int>> coll_counts(
-        defs.comms.size(), std::vector<int>(n, 0));
-    // Opening + header/type-stream validation is per-rank independent
-    // and syscall-heavy (open, mmap, first page faults), so it fans out
-    // like read_traces' decode. The call-path walk below stays serial in
-    // rank order — that order is what makes the ids match the
-    // materializing prepare. An open error is stashed, not thrown: the
-    // serial walk rethrows it at the rank's slot, so the surfacing rank
-    // is the lowest failing one exactly as under the old serial loop.
-    std::vector<std::exception_ptr> open_err(n);
-    parallel_for(n, opts.max_workers, [&](std::size_t r) {
-      if (filt.rank_q[r] != 0) return;
-      RankStream& rs = streams[r];
-      try {
-        rs.file = MappedFile::open(src.paths[r], src.use_mmap);
-        rs.ts.emplace(rs.file.data(), rs.file.size(), src.paths[r]);
-      } catch (const Error&) {
-        open_err[r] = std::current_exception();
-      }
-    });
-    for (std::size_t r = 0; r < n; ++r) {
-      RankStream& rs = streams[r];
-      rs.coll_seq.assign(defs.comms.size(), 0);
-      if (filt.rank_q[r] != 0) continue;
-      try {
-        if (open_err[r]) std::rethrow_exception(open_err[r]);
-        light_pass(static_cast<Rank>(r), *rs.ts, filt, calls, coll_counts,
-                   rs);
-      } catch (const Error& e) {
-        throw e.with_context(
-            ErrorContext{src.paths[r], static_cast<Rank>(r), -1});
-      }
-      // Sync records are materialized for the stream's whole lifetime;
-      // window bytes come and go on top of this floor.
-      rs.resident =
-          rs.ts->sync().size() * sizeof(tracing::OffsetRecord);
-      residency.adjust(static_cast<std::ptrdiff_t>(rs.resident));
-    }
-
-    // Collective-completeness validation, identical to prepare()'s:
-    // failing here (instead of mid-replay) means no task can wait on an
-    // instance that never completes.
-    for (const auto& comm : defs.comms) {
-      const auto& counts =
-          coll_counts[static_cast<std::size_t>(comm.id.get())];
-      for (const Rank r : comm.members) {
-        const int expected =
-            counts[static_cast<std::size_t>(comm.members.front())];
-        if (counts[static_cast<std::size_t>(r)] != expected) {
-          std::ostringstream os;
-          os << "incomplete collective instance in trace: rank " << r
-             << " recorded " << counts[static_cast<std::size_t>(r)]
-             << " collectives on communicator " << comm.id.get()
-             << " but rank " << comm.members.front() << " recorded "
-             << expected;
-          throw Error(os.str());
-        }
-      }
-    }
-    telemetry::counter("prepare.ranks").add(n);
-    telemetry::counter("prepare.call_paths").add(calls.size());
-  }
-
   PatternRegistry registry = PatternRegistry::standard();
   registry.select(opts.patterns);
   PatternEngine engine(registry, res.cube);
-  res.patterns = engine.install_trees(tc, calls, region_table);
-
-  // Window sizing: the budget bounds the bytes of annotated events
-  // resident across all ranks at once; the floor of one event per rank
-  // keeps a pathological budget from stalling (it degrades to
-  // single-event windows instead).
-  const std::size_t window_events =
-      opts.memory_budget_bytes == 0
-          ? kDefaultWindowEvents
-          : std::max<std::size_t>(
-                1, opts.memory_budget_bytes /
-                       (std::max<std::size_t>(n, 1) * sizeof(WinEvent)));
+  res.patterns = engine.install(tc, calls, region_table);
+  telemetry::Counter* windows_counter =
+      residency != nullptr ? &telemetry::counter("analysis.stream.windows")
+                           : nullptr;
   const std::size_t chunk =
       std::max<std::size_t>(1, std::min(window_events, kMaxDecodeChunk));
 
-  // Evicts the consumed window and decodes + annotates the next one.
-  // The window extends past its nominal size only while a Send/Recv in
-  // it still awaits its enclosing call's exit, which is what guarantees
-  // every op window is complete before the replay consumes the event.
-  auto fill_window = [&](RankStream& rs) {
-    rs.win.clear();
-    rs.wpos = 0;
-    tracing::TraceStream& ts = *rs.ts;
-    while (rs.win.size() < window_events || rs.open_ops > 0) {
-      if (rs.rpos == rs.raw.size()) {
-        if (ts.at_end()) break;
-        rs.raw.clear();
-        rs.rpos = 0;
-        ts.next(rs.raw, chunk);
+  // Evicts the consumed window and annotates the next one. The window
+  // extends past its nominal size only while a Send/Recv in it still
+  // awaits its enclosing call's exit, which is what guarantees every op
+  // window is complete before the replay consumes the event.
+  auto fill_window = [&](RankTask& rt) {
+    rt.win.clear();
+    rt.wpos = 0;
+    // A rank whose ops all fit in one window gets that window sized
+    // exactly: it can never outgrow them.
+    if (rt.win.capacity() == 0 && rt.walked.ops <= window_events)
+      rt.win.reserve(rt.walked.ops);
+    // The previous window closed with no open Send/Recv, so no open
+    // frame owns a slot before the new window's first.
+    for (Frame& f : rt.stack) f.first_slot = 0;
+    EventSource& src = rt.src;
+    while (rt.win.size() < window_events || rt.open_ops > 0) {
+      if (src.pos == src.end) {
+        if (!src.next_chunk(chunk)) break;
         continue;
       }
-      const Event& e = rs.raw[rs.rpos++];
+      const Event& e = *src.pos++;
       EventType type = e.type;
-      if ((type == EventType::Send || type == EventType::Recv) &&
-          filt.drop_msg(e.peer))
-        continue;
-      if (type == EventType::CollExit && filt.degrade_coll(e.comm.get()))
-        type = EventType::Exit;
+      if (mask.drops(type, e.peer)) continue;
+      if (mask.degrades(type, e.comm.get())) type = EventType::Exit;
       switch (type) {
         case EventType::Enter: {
           const CallPathId parent =
-              rs.stack.empty() ? CallPathId{} : rs.stack.back().cnode;
+              rt.stack.empty() ? CallPathId{} : rt.stack.back().cnode;
           const CallPathId c = calls.find(parent, e.region);
-          MSC_CHECK(c.valid(), "streaming window pass met a call path "
-                               "the light pass never created");
-          rs.stack.push_back(Frame{c, e.time, 0.0, {}});
+          MSC_CHECK(c.valid(), "replay met a call path the structure "
+                               "walk never created");
+          rt.stack.push_back(Frame{c, e.time, 0.0,
+                                   static_cast<std::uint32_t>(rt.win.size())});
           break;
         }
         case EventType::Exit:
         case EventType::CollExit: {
-          Frame f = std::move(rs.stack.back());
-          rs.stack.pop_back();
+          const Frame f = rt.stack.back();
+          rt.stack.pop_back();
           const double dur = e.time - f.enter_time;
-          rs.excl[f.cnode.get()] += dur - f.child_time;
-          if (!rs.stack.empty()) rs.stack.back().child_time += dur;
-          for (const std::uint32_t slot : f.open_ops) {
-            rs.win[slot].op_enter = f.enter_time;
-            rs.win[slot].op_exit = e.time;
-          }
-          rs.open_ops -= f.open_ops.size();
-          if (type == EventType::CollExit) {
-            WinEvent w;
-            w.e = e;
-            w.cnode = f.cnode;
+          rt.excl[f.cnode.get()] += dur - f.child_time;
+          if (!rt.stack.empty()) rt.stack.back().child_time += dur;
+          // Close the Send/Recv inside this frame (they live directly
+          // inside their MPI call frame; nested frames closed theirs).
+          for (std::size_t k = f.first_slot; k < rt.win.size(); ++k) {
+            WinEvent& w = rt.win[k];
+            if (!w.open) continue;
             w.op_enter = f.enter_time;
             w.op_exit = e.time;
-            w.index = rs.next_index;
-            rs.win.push_back(w);
+            w.open = false;
+            --rt.open_ops;
+          }
+          if (type == EventType::CollExit) {
+            WinEvent w;
+            w.op_enter = f.enter_time;
+            w.op_exit = e.time;
+            w.index = rt.next_index;
+            w.cnode = f.cnode;
+            w.peer = e.root;
+            w.tag_or_region = e.region.get();
+            w.comm = e.comm.get();
+            w.type = EventType::CollExit;
+            rt.win.push_back(w);
           }
           break;
         }
         case EventType::Send:
         case EventType::Recv: {
           WinEvent w;
-          w.e = e;
-          w.cnode = rs.stack.back().cnode;
-          w.index = rs.next_index;
-          rs.win.push_back(w);
-          rs.stack.back().open_ops.push_back(
-              static_cast<std::uint32_t>(rs.win.size() - 1));
-          ++rs.open_ops;
+          w.index = rt.next_index;
+          w.cnode = rt.stack.back().cnode;
+          w.peer = e.peer;
+          w.tag_or_region = e.tag;
+          w.comm = e.comm.get();
+          w.type = type;
+          w.open = true;
+          rt.win.push_back(w);
+          ++rt.open_ops;
           break;
         }
       }
-      ++rs.next_index;
+      ++rt.next_index;
     }
-    MSC_CHECK(rs.open_ops == 0,
-              "streaming window closed with unfilled message ops");
-    const std::size_t now =
-        rs.win.capacity() * sizeof(WinEvent) +
-        rs.raw.capacity() * sizeof(Event) +
-        rs.ts->sync().size() * sizeof(tracing::OffsetRecord);
+    MSC_CHECK(rt.open_ops == 0, "window closed with unfilled message ops");
+    if (residency == nullptr) return;
+    const std::size_t now = rt.win.capacity() * sizeof(WinEvent) +
+                            src.buf.capacity() * sizeof(Event) +
+                            rt.sync_bytes;
     // Capacities go quiescent after the first few windows; skipping the
     // no-op adjust keeps the shared atomics off the steady-state path.
-    if (now != rs.resident) {
-      residency.adjust(static_cast<std::ptrdiff_t>(now) -
-                       static_cast<std::ptrdiff_t>(rs.resident));
-      rs.resident = now;
+    if (now != rt.resident) {
+      residency->adjust(static_cast<std::ptrdiff_t>(now) -
+                        static_cast<std::ptrdiff_t>(rt.resident));
+      rt.resident = now;
     }
   };
 
   telemetry::ScopedSpan replay_span("replay");
   StripedMap<ChannelKey, Channel, ChannelKeyHash> channels;
   StripedMap<CollKey, CollGroup, CollKeyHash> colls;
+  // Wire-volume counter: tallied per task during the replay, added to
+  // the registry in one batch at the end; the per-run figure for
+  // AnalysisStats is the end-minus-start delta.
   telemetry::Counter& replay_bytes = telemetry::counter("replay.bytes");
   const std::uint64_t replay_bytes0 = replay_bytes.value();
+  for (RankTask& rt : tasks) rt.coll_seq.assign(defs.comms.size(), 0);
 
   ReplayScheduler sched(n, opts.max_workers, opts.postmortem_events);
 
   auto step = [&](std::size_t ti) -> StepResult {
     const Rank me = static_cast<Rank>(ti);
-    RankStream& rs = streams[ti];
-    if (!rs.ts) return StepResult::Done;  // quarantined: zero events
+    RankTask& rt = tasks[ti];
     for (;;) {
-      if (rs.wpos == rs.win.size()) {
-        if (rs.ts->at_end() && rs.rpos == rs.raw.size() &&
-            rs.wpos == rs.win.size() && rs.win.empty()) {
-          // Fully consumed: release the last resident bytes and flush
-          // this rank's window tally in one add (per-window counter
-          // bumps would contend across workers under tiny budgets).
-          residency.adjust(-static_cast<std::ptrdiff_t>(rs.resident));
-          rs.resident = 0;
-          rs.raw = {};
-          rs.win = {};
-          // Unmap here, on the worker, rather than in the analyzer's
-          // epilogue: the stream is consumed, and a thousand munmaps
-          // overlap the still-running ranks instead of serializing
-          // after the replay. The cursor borrows the mapping's bytes,
-          // so it goes first.
-          rs.ts.reset();
-          rs.file = MappedFile();
-          windows_counter.add(rs.windows_filled);
-          rs.windows_filled = 0;
+      if (rt.wpos == rt.win.size()) {
+        fill_window(rt);
+        if (rt.win.empty()) {
+          // Fully consumed. For a v3 source, release the last resident
+          // bytes, flush this rank's window tally in one add (per-window
+          // counter bumps would contend across workers under tiny
+          // budgets) and unmap here, on the worker, rather than in the
+          // epilogue: a thousand munmaps overlap the still-running
+          // ranks instead of serializing after the replay. The cursor
+          // borrows the mapping's bytes, so it goes first.
+          if (residency != nullptr) {
+            residency->adjust(-static_cast<std::ptrdiff_t>(rt.resident));
+            windows_counter->add(rt.windows_filled);
+          }
+          rt.resident = 0;
+          rt.win = {};
+          rt.src.ts.reset();
+          rt.src.file = MappedFile();
+          rt.src.buf = {};
           return StepResult::Done;
         }
-        fill_window(rs);
-        if (rs.win.empty()) continue;  // Enter/Exit-only tail -> Done
         // Periodic cooperative yield: hand the worker back so other
         // ranks' windows interleave under tiny budgets, but only every
         // 32nd window — yielding on every fill dominates the replay
@@ -534,32 +430,31 @@ AnalysisResult analyze_streaming(const tracing::StreamSource& src,
         // Self-resume before Suspend is the pool's sanctioned yield
         // (the Notified state requeues us). Correctness never depends
         // on this: blocking ops suspend on their own.
-        if (++rs.windows_filled % 32 == 0) {
+        if (++rt.windows_filled % 32 == 0) {
           sched.resume(ti);
           return StepResult::Suspend;
         }
         continue;
       }
-      const WinEvent& w = rs.win[rs.wpos];
-      switch (w.e.type) {
+      const WinEvent& w = rt.win[rt.wpos];
+      switch (w.type) {
         case EventType::Send: {
           std::size_t waiter = kNoWaiter;
-          channels.with(
-              ChannelKey{me, w.e.peer, w.e.tag, w.e.comm.get()},
-              [&](Channel& c) {
-                c.q.push_back(
-                    PeerInfo{me, w.op_enter, w.op_exit, w.cnode});
-                std::swap(waiter, c.waiter);
-              });
-          rs.wire_bytes += kPeerWireBytes;
-          ++rs.wpos;
+          channels.with(ChannelKey{me, w.peer, w.tag_or_region, w.comm},
+                        [&](Channel& c) {
+                          c.q.push_back(
+                              PeerInfo{me, w.op_enter, w.op_exit, w.cnode});
+                          std::swap(waiter, c.waiter);
+                        });
+          rt.wire_bytes += kPeerWireBytes;
+          ++rt.wpos;
           if (waiter != kNoWaiter) sched.resume(waiter);
           break;
         }
         case EventType::Recv: {
           PeerInfo got;
           bool have = false;
-          channels.with(ChannelKey{w.e.peer, me, w.e.tag, w.e.comm.get()},
+          channels.with(ChannelKey{w.peer, me, w.tag_or_region, w.comm},
                         [&](Channel& c) {
                           if (!c.q.empty()) {
                             got = c.q.front();
@@ -572,30 +467,29 @@ AnalysisResult analyze_streaming(const tracing::StreamSource& src,
           // Suspend *before* consuming: the sender that fills the
           // channel resumes us and the retry is guaranteed to pop.
           if (!have) return StepResult::Suspend;
-          rs.records.push_back(P2pRecord{
+          rt.records.push_back(P2pRecord{
               P2pSide{got.rank, got.op_enter, got.op_exit, got.cnode,
                       calls.node(got.cnode).region},
               P2pSide{me, w.op_enter, w.op_exit, w.cnode,
                       calls.node(w.cnode).region},
               w.index});
-          ++rs.wpos;
+          ++rt.wpos;
           break;
         }
         case EventType::CollExit: {
-          const int comm_id = w.e.comm.get();
-          const int seq = rs.coll_seq[static_cast<std::size_t>(comm_id)]++;
-          const auto& comm = defs.comms[static_cast<std::size_t>(comm_id)];
+          const int seq = rt.coll_seq[static_cast<std::size_t>(w.comm)]++;
+          const auto& comm = defs.comms[static_cast<std::size_t>(w.comm)];
           bool complete = false;
           std::vector<std::size_t> waiters;
-          colls.with(CollKey{comm_id, seq}, [&](CollGroup& g) {
+          colls.with(CollKey{w.comm, seq}, [&](CollGroup& g) {
             CollMember m;
             m.rank = me;
             m.enter = w.op_enter;
             m.exit = w.op_exit;
             m.cnode = w.cnode;
             g.members.push_back(m);
-            g.root = w.e.root;
-            g.region = w.e.region;
+            g.root = w.peer;
+            g.region = RegionId{w.tag_or_region};
             if (g.members.size() == comm.members.size()) {
               complete = true;
               waiters.swap(g.waiters);
@@ -603,10 +497,10 @@ AnalysisResult analyze_streaming(const tracing::StreamSource& src,
               g.waiters.push_back(ti);
             }
           });
-          rs.wire_bytes += kPeerWireBytes;
+          rt.wire_bytes += kPeerWireBytes;
           // Our arrival is recorded either way: advance past the event
           // before suspending so the resumed task does not re-enroll.
-          ++rs.wpos;
+          ++rt.wpos;
           if (!complete) return StepResult::Suspend;
           for (const std::size_t wt : waiters) sched.resume(wt);
           break;
@@ -614,7 +508,7 @@ AnalysisResult analyze_streaming(const tracing::StreamSource& src,
         case EventType::Enter:
         case EventType::Exit:
           // Unreachable: windows retain communication events only.
-          ++rs.wpos;
+          ++rt.wpos;
           break;
       }
     }
@@ -622,23 +516,18 @@ AnalysisResult analyze_streaming(const tracing::StreamSource& src,
 
   sched.run(step);
 
-  // Region pass before dispatch — the same cube add order as the
-  // materializing analyzers (install's region pass precedes their
-  // replay): per-rank exclusive times come out of the window pass's
-  // accumulators, sorted by call-path id (map iteration order).
-  std::vector<std::vector<ExclusiveTime>> excl_time(n);
-  for (std::size_t r = 0; r < n; ++r) {
-    auto& et = excl_time[r];
-    et.reserve(streams[r].excl.size());
-    for (const auto& [cnode, seconds] : streams[r].excl)
-      et.push_back(ExclusiveTime{CallPathId{cnode}, seconds});
-  }
+  // Region pass before dispatch — the add order analyze_serial uses —
+  // over the window pass's per-rank exclusive times.
+  std::vector<ExclusiveTimes> excl_time(n);
+  for (std::size_t r = 0; r < n; ++r) excl_time[r] = std::move(tasks[r].excl);
   engine.region_pass(excl_time);
 
   std::vector<P2pRecord> p2p;
-  for (auto& rs : streams) {
-    p2p.insert(p2p.end(), rs.records.begin(), rs.records.end());
-    rs.records.clear();
+  std::uint64_t wire_total = 0;
+  for (RankTask& rt : tasks) {
+    p2p.insert(p2p.end(), rt.records.begin(), rt.records.end());
+    rt.records = {};
+    wire_total += rt.wire_bytes;
   }
   std::vector<CollInstance> instances;
   colls.for_each([&](const CollKey& key, CollGroup& g) {
@@ -652,24 +541,6 @@ AnalysisResult analyze_streaming(const tracing::StreamSource& src,
   });
   engine.dispatch(std::move(p2p), std::move(instances), res.stats);
 
-  std::uint64_t total_events = 0;
-  std::uint64_t pruned = 0;
-  std::uint64_t wire_total = 0;
-  for (const RankStream& rs : streams) {
-    total_events += rs.events_kept;
-    pruned += rs.pruned;
-    wire_total += rs.wire_bytes;
-  }
-  res.stats.events = total_events;
-  // "Resident" under streaming = the high-water mark of bytes the
-  // windows (plus materialized sync records) held at once — what the
-  // memory budget actually bounds, not the full collection size.
-  res.stats.trace_bytes_in_memory = residency.peak();
-  telemetry::counter("analysis.events").add(total_events);
-  telemetry::counter("analysis.trace_bytes_in_memory")
-      .add(res.stats.trace_bytes_in_memory);
-  if (pruned > 0)
-    telemetry::counter("archive.read.pruned_events").add(pruned);
   replay_bytes.add(wire_total);
   res.stats.replay_bytes = replay_bytes.value() - replay_bytes0;
   const SchedulerStats& ss = sched.stats();
@@ -678,6 +549,125 @@ AnalysisResult analyze_streaming(const tracing::StreamSource& src,
   res.stats.replay_suspensions = ss.suspensions;
   res.stats.replay_steals = ss.steals;
   res.stats.replay_requeues = ss.requeues;
+  return res;
+}
+
+}  // namespace
+
+AnalysisResult analyze_parallel(const tracing::TraceCollection& tc,
+                                const ReplayOptions& opts) {
+  MSC_CHECK(tc.synchronized || tc.scheme == tracing::SyncScheme::None,
+            "analyze_parallel requires synchronized timestamps");
+  report::CallTree calls;
+  std::vector<RankTask> tasks(tc.ranks.size());
+  {
+    telemetry::ScopedSpan span("prepare");
+    if (telemetry::progress_enabled()) telemetry::progress("prepare", 0.0);
+    const auto totals = walk_structure(tc, calls);
+    for (std::size_t r = 0; r < tasks.size(); ++r) {
+      tasks[r].src.mem = &tc.ranks[r].events;
+      tasks[r].walked = totals[r];
+    }
+    if (telemetry::progress_enabled()) telemetry::progress("prepare", 1.0);
+  }
+  AnalysisResult res =
+      replay(tc, calls, tasks, tracing::QuarantineMask(),
+             std::numeric_limits<std::size_t>::max(), nullptr, opts);
+  fill_trace_stats(tc.total_events(), tracing::in_memory_bytes(tc),
+                   res.stats);
+  return res;
+}
+
+AnalysisResult analyze_streaming(const tracing::StreamSource& src,
+                                 const ReplayOptions& opts) {
+  const tracing::TraceCollection& tc = src.defs;
+  MSC_CHECK(tc.synchronized || tc.scheme == tracing::SyncScheme::None,
+            "analyze_streaming requires synchronized timestamps");
+  const auto n = static_cast<std::size_t>(tc.num_ranks());
+  MSC_CHECK(src.paths.size() == n, "stream source paths/defs mismatch");
+  const tracing::QuarantineMask mask(tc, src.quarantined);
+  report::CallTree calls;
+  std::vector<RankTask> tasks(n);
+  Residency residency;
+
+  // Streaming prepare: open every surviving rank's file, then the
+  // structure walk over the light columns, ranks in ascending order.
+  // Quarantined ranks stay closed and stream zero events.
+  {
+    telemetry::ScopedSpan span("prepare");
+    // Opening + header/type-stream validation is per-rank independent
+    // and syscall-heavy (open, mmap, first page faults), so it fans out
+    // like read_traces' decode. An open error is stashed, not thrown:
+    // the serial walk rethrows it at the rank's slot, so the surfacing
+    // rank is the lowest failing one.
+    std::vector<std::exception_ptr> open_err(n);
+    parallel_for(n, opts.max_workers, [&](std::size_t r) {
+      if (mask.rank(static_cast<std::int64_t>(r))) return;
+      EventSource& es = tasks[r].src;
+      try {
+        es.file = MappedFile::open(src.paths[r], src.use_mmap);
+        es.ts.emplace(es.file.data(), es.file.size(), src.paths[r]);
+      } catch (const Error&) {
+        open_err[r] = std::current_exception();
+      }
+    });
+    StructureWalk walk(tc.defs, n, calls);
+    for (std::size_t r = 0; r < n; ++r) {
+      if (mask.rank(static_cast<std::int64_t>(r))) continue;
+      RankTask& rt = tasks[r];
+      try {
+        if (open_err[r]) std::rethrow_exception(open_err[r]);
+        walk.begin(static_cast<Rank>(r));
+        rt.src.ts->scan_light([&](tracing::LightEvent le) {
+          if (mask.drops(le.type, le.peer)) {
+            ++rt.pruned;
+            return;
+          }
+          if (mask.degrades(le.type, le.comm)) {
+            le.type = EventType::Exit;
+            ++rt.pruned;
+          }
+          walk.step(le);
+        });
+        rt.walked = walk.end();
+      } catch (const Error& e) {
+        throw e.with_context(
+            ErrorContext{src.paths[r], static_cast<Rank>(r), -1});
+      }
+      // Sync records are materialized for the stream's whole lifetime;
+      // window bytes come and go on top of this floor.
+      rt.sync_bytes =
+          rt.src.ts->sync().size() * sizeof(tracing::OffsetRecord);
+      rt.resident = rt.sync_bytes;
+      residency.adjust(static_cast<std::ptrdiff_t>(rt.resident));
+    }
+    walk.finish();
+  }
+
+  // Window sizing: the budget bounds the bytes of annotated events
+  // resident across all ranks at once; the floor of one event per rank
+  // keeps a pathological budget from stalling (it degrades to
+  // single-event windows instead).
+  const std::size_t window_events =
+      opts.memory_budget_bytes == 0
+          ? kDefaultWindowEvents
+          : std::max<std::size_t>(
+                1, opts.memory_budget_bytes /
+                       (std::max<std::size_t>(n, 1) * sizeof(WinEvent)));
+  AnalysisResult res =
+      replay(tc, calls, tasks, mask, window_events, &residency, opts);
+
+  std::uint64_t total_events = 0;
+  std::uint64_t pruned = 0;
+  for (const RankTask& rt : tasks) {
+    total_events += rt.walked.events;
+    pruned += rt.pruned;
+  }
+  // The windows' (plus sync records') high-water mark: what the memory
+  // budget bounds, not the full collection size.
+  fill_trace_stats(total_events, residency.peak(), res.stats);
+  if (pruned > 0)
+    telemetry::counter("archive.read.pruned_events").add(pruned);
   return res;
 }
 

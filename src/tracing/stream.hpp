@@ -34,10 +34,10 @@
 
 namespace metascope::tracing {
 
-/// The slice of one event the streaming prepare pass consumes: type and
-/// time (structural validation), the region/comm columns (call-path ids
-/// and collective instance counting) and the message peer (quarantine
-/// filtering) — never the tag/byte-count columns.
+/// The slice of one event the structure walk (analysis/prepare.hpp)
+/// consumes: type and time (structural validation), the region/comm
+/// columns (call-path ids and collective counting) and the message peer
+/// (quarantine filtering) — never the tag/byte-count columns.
 struct LightEvent {
   EventType type{EventType::Enter};
   double time{0.0};

@@ -117,59 +117,40 @@ std::vector<TraceCollection::GlobalRef> TraceCollection::global_order()
   return order;
 }
 
+QuarantineMask::QuarantineMask(const TraceCollection& tc,
+                               const std::vector<Rank>& quarantined)
+    : rank_(static_cast<std::size_t>(tc.num_ranks()), 0),
+      comm_(tc.defs.comms.size(), 0) {
+  for (const Rank r : quarantined)
+    if (r >= 0 && r < tc.num_ranks()) rank_[static_cast<std::size_t>(r)] = 1;
+  for (std::size_t c = 0; c < tc.defs.comms.size(); ++c)
+    for (const Rank m : tc.defs.comms[c].members)
+      if (rank(m)) comm_[c] = 1;
+}
+
 std::size_t prune_quarantined(TraceCollection& tc,
                               const std::vector<Rank>& quarantined) {
   if (quarantined.empty()) return 0;
-  std::vector<bool> is_quarantined(
-      static_cast<std::size_t>(tc.num_ranks()), false);
-  for (Rank r : quarantined)
-    if (r >= 0 && r < tc.num_ranks())
-      is_quarantined[static_cast<std::size_t>(r)] = true;
-
-  // Communicators with at least one quarantined member can never again
-  // complete a collective instance.
-  std::vector<bool> comm_tainted(tc.defs.comms.size(), false);
-  for (std::size_t c = 0; c < tc.defs.comms.size(); ++c)
-    for (Rank m : tc.defs.comms[c].members)
-      if (m >= 0 && m < tc.num_ranks() &&
-          is_quarantined[static_cast<std::size_t>(m)]) {
-        comm_tainted[c] = true;
-        break;
-      }
-
+  const QuarantineMask mask(tc, quarantined);
   std::size_t pruned = 0;
   for (auto& t : tc.ranks) {
-    if (t.rank >= 0 && t.rank < tc.num_ranks() &&
-        is_quarantined[static_cast<std::size_t>(t.rank)])
-      continue;
+    if (mask.rank(t.rank)) continue;
     std::vector<Event> kept;
     kept.reserve(t.events.size());
-    for (Event e : t.events) {
-      switch (e.type) {
-        case EventType::Send:
-        case EventType::Recv:
-          if (e.peer >= 0 && e.peer < tc.num_ranks() &&
-              is_quarantined[static_cast<std::size_t>(e.peer)]) {
-            ++pruned;
-            continue;
-          }
-          break;
-        case EventType::CollExit:
-          if (e.comm.valid() &&
-              static_cast<std::size_t>(e.comm.get()) < comm_tainted.size() &&
-              comm_tainted[static_cast<std::size_t>(e.comm.get())]) {
-            // Keep the Exit so the region nesting stays balanced; only
-            // the collective semantics are gone.
-            Event exit_ev;
-            exit_ev.type = EventType::Exit;
-            exit_ev.time = e.time;
-            kept.push_back(exit_ev);
-            ++pruned;
-            continue;
-          }
-          break;
-        default:
-          break;
+    for (const Event& e : t.events) {
+      if (mask.drops(e.type, e.peer)) {
+        ++pruned;
+        continue;
+      }
+      if (mask.degrades(e.type, e.comm.get())) {
+        // Keep the Exit so the region nesting stays balanced; only the
+        // collective semantics are gone.
+        Event exit_ev;
+        exit_ev.type = EventType::Exit;
+        exit_ev.time = e.time;
+        kept.push_back(exit_ev);
+        ++pruned;
+        continue;
       }
       kept.push_back(e);
     }

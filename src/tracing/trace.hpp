@@ -1,6 +1,7 @@
 // Local traces and the experiment-wide trace collection.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -80,6 +81,37 @@ struct TraceCollection {
 std::size_t in_memory_bytes(const LocalTrace& t);
 std::size_t in_memory_bytes(const TraceCollection& tc);
 
+/// Permissive-recovery mask: which ranks a read quarantined, and which
+/// communicators lost a member to them (such a communicator can never
+/// again complete a collective instance). Bounds-checked: an id outside
+/// the collection's rank or communicator table is never quarantined.
+/// prune_quarantined and the streaming replay's on-the-fly filter both
+/// decide through this one mask.
+class QuarantineMask {
+ public:
+  QuarantineMask() = default;
+  QuarantineMask(const TraceCollection& tc,
+                 const std::vector<Rank>& quarantined);
+
+  [[nodiscard]] bool rank(std::int64_t r) const { return in(rank_, r); }
+  /// A Send/Recv whose peer is quarantined is dropped.
+  [[nodiscard]] bool drops(EventType type, std::int64_t peer) const {
+    return (type == EventType::Send || type == EventType::Recv) && rank(peer);
+  }
+  /// A CollExit on a tainted communicator degrades to a plain Exit.
+  [[nodiscard]] bool degrades(EventType type, std::int64_t comm) const {
+    return type == EventType::CollExit && in(comm_, comm);
+  }
+
+ private:
+  static bool in(const std::vector<char>& v, std::int64_t i) {
+    return i >= 0 && i < static_cast<std::int64_t>(v.size()) &&
+           v[static_cast<std::size_t>(i)] != 0;
+  }
+  std::vector<char> rank_;
+  std::vector<char> comm_;
+};
+
 /// Permissive-recovery support: removes from the surviving ranks every
 /// event that can no longer be matched once the given ranks are
 /// quarantined (their traces emptied) —
@@ -88,10 +120,10 @@ std::size_t in_memory_bytes(const TraceCollection& tc);
 ///  - CollExit events on a communicator containing a quarantined rank
 ///    degrade to plain Exit events (the instance is incomplete on every
 ///    surviving rank, so the whole instance disappears consistently).
-/// Region nesting stays balanced, so prepare()'s structural validation
-/// and the replay still hold. Returns the number of events dropped or
-/// degraded. Deterministic: depends only on the collection and the
-/// quarantined set, never on reader parallelism.
+/// Region nesting stays balanced, so the structure walk and the replay
+/// still hold. Returns the number of events dropped or degraded.
+/// Deterministic: depends only on the collection and the quarantined
+/// set, never on reader parallelism.
 std::size_t prune_quarantined(TraceCollection& tc,
                               const std::vector<Rank>& quarantined);
 

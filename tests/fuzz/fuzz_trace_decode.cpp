@@ -19,18 +19,46 @@
 // that forces per-window cursor refills mid-column. It must uphold the
 // same invariant as the batch decoder, and the truncated-mid-block
 // corpus mutants aim the mutator straight at the window boundaries.
+//
+// A trace that decodes goes on into the analyzer: it becomes rank 0 of
+// a one-rank collection with fixed minimal definitions (one
+// communicator, four regions) and is replayed by analyze_parallel on
+// one worker. Decoders do not check event ids against the definitions,
+// so this is what reaches the structure walk's id and nesting checks;
+// a typed Error is again the accepted outcome.
 #include <cstdint>
 #include <vector>
 
+#include "analysis/analyzer.hpp"
 #include "common/error.hpp"
 #include "tracing/epilog_io.hpp"
 #include "tracing/stream.hpp"
+
+namespace {
+
+void analyze_as_rank0(metascope::tracing::LocalTrace trace) {
+  using namespace metascope;
+  tracing::TraceCollection tc;
+  tc.scheme = tracing::SyncScheme::None;
+  for (const char* name : {"main", "MPI_Send", "MPI_Recv", "MPI_Barrier"})
+    tc.defs.regions.intern(name);
+  tc.defs.metahosts.push_back({MetahostId{0}, "A"});
+  tc.defs.locations.push_back({MetahostId{0}, NodeId{0}, 0, 0});
+  tc.defs.comms.push_back({CommId{0}, "world", {0}});
+  trace.rank = 0;
+  tc.ranks.push_back(std::move(trace));
+  analysis::ReplayOptions opts;
+  opts.max_workers = 1;
+  (void)analysis::analyze_parallel(tc, opts);
+}
+
+}  // namespace
 
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                       std::size_t size) {
   const std::vector<std::uint8_t> bytes(data, data + size);
   try {
-    (void)metascope::tracing::decode_local_trace(bytes, "<fuzz>");
+    analyze_as_rank0(metascope::tracing::decode_local_trace(bytes, "<fuzz>"));
   } catch (const metascope::Error&) {
     // Typed rejection is the expected outcome for invalid input.
   }

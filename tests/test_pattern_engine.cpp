@@ -469,13 +469,14 @@ class RecvDwellDetector final : public PatternDetector {
 TEST(PatternExtensibility, CustomDetectorRunsThroughPublicEngineApi) {
   const auto tc =
       make_traces(local_topo(2), workloads::late_sender_program(0.2), false);
-  const PreparedTrace prep = prepare(tc, 1);
+  const PreparedTrace prep = prepare(tc);
   PatternRegistry registry = PatternRegistry::standard();
   registry.add(std::make_unique<RecvDwellDetector>());
   registry.select({"recv_dwell"});
   report::Cube cube;
   PatternEngine engine(registry, cube);
-  const PatternSet ps = engine.install(tc, prep);
+  const PatternSet ps = engine.install(tc, prep.calls, prep.region_table);
+  engine.region_pass(prep.excl_time);
   EXPECT_TRUE(cube.metrics.contains("Recv Dwell"));
   // Built-ins were deselected; only the custom detector (and the
   // structural partition) run.

@@ -8,6 +8,7 @@
 // with structured mutants (truncations, bad magic, future version, and
 // v3-specific corners: bad type nibbles, count mismatches, broken
 // column frames, bad XOR lead bytes / scale indices / residual widths)
+// and small traces aimed at the analyzer stage of fuzz_trace_decode
 // into one subdirectory per harness:
 //
 //   <outdir>/trace_decode/   defs + trace bytes (also seeds sync_decode)
@@ -219,6 +220,42 @@ void put_midblock_mutants(const fs::path& dir) {
   put(dir, "v3_multiwindow", bytes);
 }
 
+/// Seeds for fuzz_trace_decode's analyzer stage, which replays a
+/// decoded trace as rank 0 of a one-rank collection with four regions
+/// and one communicator: one trace that replays clean (a message to
+/// itself and a barrier), and one each whose CollExit communicator or
+/// Enter region lies outside those tables.
+void put_analyzer_seeds(const fs::path& dir) {
+  using tracing::EventType;
+  auto encode = [](int coll_comm, int send_region) {
+    tracing::LocalTrace t;
+    t.rank = 0;
+    auto ev = [&](EventType type, double time) -> tracing::Event& {
+      tracing::Event e;
+      e.type = type;
+      e.time = time;
+      t.events.push_back(e);
+      return t.events.back();
+    };
+    ev(EventType::Enter, 0.0).region = RegionId{0};
+    ev(EventType::Enter, 0.1).region = RegionId{send_region};
+    ev(EventType::Send, 0.15).peer = 0;
+    ev(EventType::Exit, 0.2);
+    ev(EventType::Enter, 0.3).region = RegionId{2};
+    ev(EventType::Recv, 0.35).peer = 0;
+    ev(EventType::Exit, 0.4);
+    ev(EventType::Enter, 0.5).region = RegionId{3};
+    tracing::Event& coll = ev(EventType::CollExit, 0.6);
+    coll.region = RegionId{3};
+    coll.comm = CommId{coll_comm};
+    ev(EventType::Exit, 0.7);
+    return tracing::encode_local_trace(t);
+  };
+  put(dir, "analyzer_clean", encode(0, 1));
+  put(dir, "analyzer_bad_comm", encode(5, 1));
+  put(dir, "analyzer_bad_region", encode(0, 9));
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -258,6 +295,7 @@ int main(int argc, char** argv) {
     }
     put_v3_mutants(trace_dir);
     put_midblock_mutants(trace_dir);
+    put_analyzer_seeds(trace_dir);
     // An empty trace is valid too — seed the minimal accepting input.
     tracing::LocalTrace empty;
     empty.rank = 0;
