@@ -65,7 +65,7 @@ int main() {
   std::printf("%s", t.render().c_str());
   bench::note(
       "\nShape check: the replay exchanges a fraction of the trace volume\n"
-      "— each analysis process reads only its local trace file, so no\n"
+      "— each analysis process reads only its local trace block, so no\n"
       "shared file system and no bulk trace copying between metahosts is\n"
       "needed (paper Sections 3-4). Parallel wall-clock on this 1-core\n"
       "host reflects thread overhead, not the metacomputer speedup.");

@@ -95,8 +95,9 @@ class StageTimer {
       std::chrono::steady_clock::now()};
 };
 
-/// Encoded bytes an archive occupies: every defs + trace file across the
-/// partial archives (manifests excluded — identical in every format).
+/// Encoded bytes an archive occupies: every defs file and trace container
+/// (index included) across the partial archives (manifests excluded —
+/// identical in every format).
 std::uintmax_t archive_bytes(const archive::ExperimentArchive& ar) {
   std::uintmax_t total = 0;
   for (const std::string& dir : ar.partial_dirs())

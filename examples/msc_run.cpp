@@ -27,7 +27,7 @@
 // it: clock synchronization runs first (streaming needs synchronized
 // timestamps on disk), the synchronized traces are written as a v3
 // archive under --archive-dir, and analysis::analyze_streaming replays
-// them in bounded windows straight out of the mapped files.
+// them in bounded windows straight out of the mapped trace blocks.
 // --memory-budget caps the decoded trace bytes resident across all
 // ranks at once (default: a generous 4096-event window per rank). The
 // severity cube is bit-identical to the in-memory analysis. --stream

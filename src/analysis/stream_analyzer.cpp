@@ -4,9 +4,9 @@
 //
 //  - analyze_parallel: the borrowed LocalTrace::events vector — one
 //    chunk that is already decoded, so no copy and no decode;
-//  - analyze_streaming: a tracing::TraceStream over the rank's mapped v3
-//    file, decoded chunk by chunk, so peak trace-resident memory is
-//    ~ budget instead of ~ trace size.
+//  - analyze_streaming: a tracing::TraceStream over the rank's v3 block,
+//    with only the pages of that block mapped, decoded chunk by chunk,
+//    so peak trace-resident memory is ~ budget instead of ~ trace size.
 //
 // The task re-enacts the recorded communication, moving only the few
 // bytes each pattern formula needs. The exchange protocol per message
@@ -201,7 +201,7 @@ class Residency {
 struct EventSource {
   /// In-memory: the borrowed events, until their one chunk is handed out.
   const std::vector<Event>* mem{nullptr};
-  /// v3: the mapped file and its windowed cursor (nullopt for a
+  /// v3: the mapped block and its windowed cursor (nullopt for a
   /// quarantined rank, which streams zero events).
   MappedFile file;
   std::optional<tracing::TraceStream> ts;
@@ -584,13 +584,13 @@ AnalysisResult analyze_streaming(const tracing::StreamSource& src,
   MSC_CHECK(tc.synchronized || tc.scheme == tracing::SyncScheme::None,
             "analyze_streaming requires synchronized timestamps");
   const auto n = static_cast<std::size_t>(tc.num_ranks());
-  MSC_CHECK(src.paths.size() == n, "stream source paths/defs mismatch");
+  MSC_CHECK(src.blocks.size() == n, "stream source blocks/defs mismatch");
   const tracing::QuarantineMask mask(tc, src.quarantined);
   report::CallTree calls;
   std::vector<RankTask> tasks(n);
   Residency residency;
 
-  // Streaming prepare: open every surviving rank's file, then the
+  // Streaming prepare: map every surviving rank's block, then the
   // structure walk over the light columns, ranks in ascending order.
   // Quarantined ranks stay closed and stream zero events.
   {
@@ -604,9 +604,10 @@ AnalysisResult analyze_streaming(const tracing::StreamSource& src,
     parallel_for(n, opts.max_workers, [&](std::size_t r) {
       if (mask.rank(static_cast<std::int64_t>(r))) return;
       EventSource& es = tasks[r].src;
+      const tracing::TraceBlock& b = src.blocks[r];
       try {
-        es.file = MappedFile::open(src.paths[r], src.use_mmap);
-        es.ts.emplace(es.file.data(), es.file.size(), src.paths[r]);
+        es.file = MappedFile::open(b.path, b.offset, b.length, src.use_mmap);
+        es.ts.emplace(es.file.data(), es.file.size(), b.path, b.offset);
       } catch (const Error&) {
         open_err[r] = std::current_exception();
       }
@@ -632,7 +633,7 @@ AnalysisResult analyze_streaming(const tracing::StreamSource& src,
         rt.walked = walk.end();
       } catch (const Error& e) {
         throw e.with_context(
-            ErrorContext{src.paths[r], static_cast<Rank>(r), -1});
+            ErrorContext{src.blocks[r].path, static_cast<Rank>(r), -1});
       }
       // Sync records are materialized for the stream's whole lifetime;
       // window bytes come and go on top of this floor.

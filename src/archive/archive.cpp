@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <deque>
 #include <filesystem>
+#include <functional>
 #include <mutex>
 #include <utility>
 
@@ -14,6 +16,7 @@
 #include "telemetry/metrics.hpp"
 #include "telemetry/recorder.hpp"
 #include "telemetry/span.hpp"
+#include "tracing/container.hpp"
 #include "tracing/epilog_io.hpp"
 
 namespace fs = std::filesystem;
@@ -205,6 +208,10 @@ std::vector<std::string> ExperimentArchive::partial_dirs() const {
   return out;
 }
 
+std::string ExperimentArchive::container_path(MetahostId m) const {
+  return dir_of(m) + "/" + tracing::container_filename(m.get());
+}
+
 void ExperimentArchive::write_traces(const simnet::Topology& topo,
                                      const tracing::TraceCollection& tc,
                                      const WriteOptions& opts) const {
@@ -216,15 +223,25 @@ void ExperimentArchive::write_traces(const simnet::Topology& topo,
   telemetry::ScopedSpan span("archive_write");
   // Definitions + manifest go into every partial archive; each rank's
   // trace goes only where that rank can write.
-  std::atomic<std::uint64_t> bytes_on_disk{0};
+  std::uint64_t bytes_on_disk = 0;
   const auto defs_bytes = tracing::encode_defs(tc, version);
   for (const std::string& dir : partial_dirs()) {
     write_file_bytes(dir + "/" + tracing::defs_filename(), defs_bytes);
-    bytes_on_disk.fetch_add(defs_bytes.size(), std::memory_order_relaxed);
+    bytes_on_disk += defs_bytes.size();
   }
 
-  // One task per rank: encode + write its own trace file. Files are
-  // distinct paths, so the fan-out never contends on a target.
+  // One container per metahost, its blocks in rank order: the number of
+  // files created does not grow with the rank count (see
+  // tracing/container.hpp). The pool encodes ranks in parallel and each
+  // block goes to its container as soon as the lower ranks' blocks are
+  // written, so the files are byte-identical for any worker count and
+  // few encoded blocks are ever held at once.
+  std::deque<tracing::ContainerWriter> writers;
+  for (std::size_t m = 0; m < ranks_by_metahost_.size(); ++m) {
+    const MetahostId mh{static_cast<int>(m)};
+    writers.emplace_back(container_path(mh), mh.get(),
+                         ranks_by_metahost_[m]);
+  }
   telemetry::RecordingObserver rec_obs(
       "archive_write",
       telemetry::RecordingObserver::fanout_stride(tc.ranks.size()));
@@ -232,15 +249,13 @@ void ExperimentArchive::write_traces(const simnet::Topology& topo,
       tc.ranks.size(), opts.max_workers,
       [&](std::size_t i) {
         const auto& t = tc.ranks[i];
-        const std::string& dir = dir_of(topo.metahost_of(t.rank));
-        const auto bytes = tracing::encode_local_trace(t, version);
-        write_file_bytes(dir + "/" + tracing::trace_filename(t.rank), bytes);
-        bytes_on_disk.fetch_add(bytes.size(), std::memory_order_relaxed);
+        writers[static_cast<std::size_t>(topo.metahost_of(t.rank).get())].put(
+            t.rank, tracing::encode_local_trace(t, version));
       },
       &rec_obs);
   telemetry::record_stage_parallelism("archive_write", pst);
-  telemetry::counter("archive.bytes_on_disk")
-      .add(bytes_on_disk.load(std::memory_order_relaxed));
+  for (auto& w : writers) bytes_on_disk += w.finish();
+  telemetry::counter("archive.bytes_on_disk").add(bytes_on_disk);
   telemetry::counter("archive.bytes_in_memory")
       .add(tracing::in_memory_bytes(tc));
 
@@ -276,95 +291,172 @@ std::vector<Rank> ReadReport::quarantined_ranks() const {
   return out;
 }
 
+namespace {
+
+/// Decodes the definitions from the first partial archive whose replica
+/// reads; in permissive mode a damaged replica falls back to the next.
+tracing::TraceCollection read_defs_replica(
+    const std::vector<std::string>& dirs, const ReadOptions& opts,
+    std::uint64_t& bytes_read) {
+  for (std::size_t i = 0;; ++i) {
+    const std::string path = dirs[i] + "/" + tracing::defs_filename();
+    try {
+      const MappedFile f = MappedFile::open(path, opts.use_mmap);
+      auto tc = tracing::decode_defs(f.data(), f.size(), path);
+      bytes_read += f.size();
+      return tc;
+    } catch (const Error&) {
+      if (!opts.permissive || i + 1 == dirs.size()) throw;
+    }
+  }
+}
+
+/// Rank r's block in a decoded container index. A rank the manifest
+/// lists but the index lacks is Io, like the missing file it stands in
+/// for: its data cannot be found, while every block that is there
+/// stays addressable.
+tracing::TraceBlock block_of(const std::vector<tracing::BlockEntry>& index,
+                             const std::string& path, Rank r) {
+  const auto it = std::lower_bound(
+      index.begin(), index.end(), r,
+      [](const tracing::BlockEntry& e, Rank x) { return e.rank < x; });
+  if (it == index.end() || it->rank != r)
+    throw Error(ErrorCode::Io,
+                "container has no trace block for rank " + std::to_string(r),
+                ErrorContext{path, r, -1});
+  return tracing::TraceBlock{path, it->offset, it->length};
+}
+
+/// The decoded block must be the rank the index filed it under.
+void check_block_rank(Rank claimed, Rank r, const tracing::TraceBlock& b) {
+  if (claimed != r)
+    throw Error(ErrorCode::Corrupt,
+                "trace block rank mismatch (block claims rank " +
+                    std::to_string(claimed) + ")",
+                ErrorContext{b.path, r, static_cast<std::int64_t>(b.offset)});
+}
+
+/// Runs `body` for every located block on up to opts.max_workers
+/// threads. A rank whose body throws fails the read with its container
+/// and rank attached (strict), or joins `quarantined` (permissive),
+/// which ends up sorted by rank whatever the interleaving.
+void for_each_block(
+    const std::vector<tracing::TraceBlock>& blocks, const ReadOptions& opts,
+    const char* stage, std::vector<QuarantineRecord>& quarantined,
+    const std::function<void(Rank, const tracing::TraceBlock&)>& body) {
+  std::mutex quarantine_mu;
+  telemetry::RecordingObserver rec_obs(
+      stage, telemetry::RecordingObserver::fanout_stride(blocks.size()));
+  const auto pst = parallel_for(
+      blocks.size(), opts.max_workers,
+      [&](std::size_t i) {
+        const auto r = static_cast<Rank>(i);
+        const tracing::TraceBlock& b = blocks[i];
+        if (b.path.empty()) return;  // quarantined while locating
+        try {
+          body(r, b);
+        } catch (const Error& e) {
+          if (!opts.permissive)
+            throw e.with_context(ErrorContext{b.path, r, -1});
+          const std::lock_guard<std::mutex> lock(quarantine_mu);
+          quarantined.push_back(
+              QuarantineRecord{r, b.path, e.code(), e.base_message()});
+        }
+      },
+      &rec_obs);
+  telemetry::record_stage_parallelism(stage, pst);
+  std::sort(quarantined.begin(), quarantined.end(),
+            [](const QuarantineRecord& a, const QuarantineRecord& b) {
+              return a.rank < b.rank;
+            });
+  if (!quarantined.empty())
+    telemetry::counter("archive.read.quarantined").add(quarantined.size());
+}
+
+}  // namespace
+
+std::vector<tracing::TraceBlock> ExperimentArchive::locate_blocks(
+    std::size_t num_ranks, bool permissive,
+    std::vector<QuarantineRecord>& quarantined) const {
+  std::vector<tracing::TraceBlock> blocks(num_ranks);
+  for (std::size_t m = 0; m < ranks_by_metahost_.size(); ++m) {
+    const std::vector<Rank>& ranks = ranks_by_metahost_[m];
+    const MetahostId mh{static_cast<int>(m)};
+    const std::string path = container_path(mh);
+    for (const Rank r : ranks)
+      if (static_cast<std::size_t>(r) >= num_ranks)
+        throw Error(ErrorCode::Corrupt,
+                    "the definitions declare " + std::to_string(num_ranks) +
+                        " ranks, but metahost " + std::to_string(m) +
+                        "'s manifest lists rank " + std::to_string(r),
+                    ErrorContext{path, r, -1});
+    std::vector<tracing::BlockEntry> index;
+    try {
+      index = tracing::read_container_index(path, mh.get(), ranks);
+    } catch (const Error& e) {
+      if (!permissive) throw;
+      // A header or index that does not decode leaves no block of this
+      // container addressable: every rank in it is quarantined.
+      for (const Rank r : ranks)
+        quarantined.push_back(
+            QuarantineRecord{r, path, e.code(), e.base_message()});
+      continue;
+    }
+    for (const Rank r : ranks) {
+      try {
+        blocks[static_cast<std::size_t>(r)] = block_of(index, path, r);
+      } catch (const Error& e) {
+        if (!permissive) throw;
+        quarantined.push_back(
+            QuarantineRecord{r, path, e.code(), e.base_message()});
+      }
+    }
+  }
+  return blocks;
+}
+
 tracing::TraceCollection ExperimentArchive::read_traces(
     const ReadOptions& opts, ReadReport* report) const {
   MSC_CHECK(!dir_by_metahost_.empty(), "empty archive");
   telemetry::ScopedSpan span("archive_read");
   if (report) *report = ReadReport{};
 
-  // Definitions are replicated into every partial archive; in permissive
-  // mode a corrupt copy just means trying the next replica.
-  tracing::TraceCollection tc;
-  std::atomic<std::uint64_t> bytes_read{0};
-  {
-    const auto dirs = partial_dirs();
-    bool have_defs = false;
-    for (std::size_t i = 0; i < dirs.size(); ++i) {
-      const std::string path = dirs[i] + "/" + tracing::defs_filename();
-      try {
-        const MappedFile f = MappedFile::open(path, opts.use_mmap);
-        tc = tracing::decode_defs(f.data(), f.size(), path);
-        bytes_read.fetch_add(f.size(), std::memory_order_relaxed);
-        have_defs = true;
-        break;
-      } catch (const Error&) {
-        if (!opts.permissive || i + 1 == dirs.size()) throw;
-      }
-    }
-    MSC_ASSERT(have_defs, "defs decode fell through");
-  }
   // The defs header names the rank count, so each rank's Trace slot is
-  // pre-sized before any trace file is opened; the per-rank decoders
-  // then fill their slots straight from the mappings.
-
-  // Flatten (metahost, rank) so each task reads + decodes one file into
-  // its own rank slot.
-  std::vector<std::pair<std::size_t, Rank>> files;
-  for (std::size_t m = 0; m < dir_by_metahost_.size(); ++m)
-    for (Rank r : ranks_by_metahost_[m]) files.emplace_back(m, r);
-
-  std::mutex quarantine_mu;
+  // pre-sized before any block is opened; the per-rank decoders then
+  // fill their slots straight from the mappings.
+  std::uint64_t defs_bytes = 0;
+  tracing::TraceCollection tc =
+      read_defs_replica(partial_dirs(), opts, defs_bytes);
+  std::atomic<std::uint64_t> bytes_read{defs_bytes};
   std::vector<QuarantineRecord> quarantined;
-  telemetry::RecordingObserver rec_obs(
-      "archive_read",
-      telemetry::RecordingObserver::fanout_stride(files.size()));
-  const auto pst = parallel_for(
-      files.size(), opts.max_workers,
-      [&](std::size_t i) {
-        const auto [m, r] = files[i];
-        const std::string path =
-            dir_by_metahost_[m] + "/" + tracing::trace_filename(r);
-        try {
-          // Zero-copy: decode straight out of the mapping (or out of the
-          // owned-buffer fallback — identical bytes either way).
-          const MappedFile f = MappedFile::open(path, opts.use_mmap);
-          auto trace = tracing::decode_local_trace(f.data(), f.size(), path);
-          bytes_read.fetch_add(f.size(), std::memory_order_relaxed);
-          if (trace.rank != r)
-            throw Error(ErrorCode::Corrupt,
-                        "trace file rank mismatch (file claims rank " +
-                            std::to_string(trace.rank) + ")",
-                        ErrorContext{path, r, -1});
-          tc.ranks[static_cast<std::size_t>(r)] = std::move(trace);
-        } catch (const Error& e) {
-          if (!opts.permissive) throw e.with_context(ErrorContext{path, r, -1});
-          // Quarantine: leave the rank as an empty trace and record why.
-          tc.ranks[static_cast<std::size_t>(r)] = tracing::LocalTrace{};
-          tc.ranks[static_cast<std::size_t>(r)].rank = r;
-          const std::lock_guard<std::mutex> lock(quarantine_mu);
-          quarantined.push_back(
-              QuarantineRecord{r, path, e.code(), e.base_message()});
-        }
-      },
-      &rec_obs);
-  telemetry::record_stage_parallelism("archive_read", pst);
+  const auto blocks =
+      locate_blocks(tc.ranks.size(), opts.permissive, quarantined);
+  for_each_block(
+      blocks, opts, "archive_read", quarantined,
+      [&](Rank r, const tracing::TraceBlock& b) {
+        // Zero-copy: decode straight out of the block's mapping (or out
+        // of the owned-buffer fallback — identical bytes either way).
+        const MappedFile f =
+            MappedFile::open(b.path, b.offset, b.length, opts.use_mmap);
+        auto trace =
+            tracing::decode_local_trace(f.data(), f.size(), b.path, b.offset);
+        bytes_read.fetch_add(f.size(), std::memory_order_relaxed);
+        check_block_rank(trace.rank, r, b);
+        tc.ranks[static_cast<std::size_t>(r)] = std::move(trace);
+      });
   telemetry::counter("archive.read.bytes")
       .add(bytes_read.load(std::memory_order_relaxed));
 
   if (!quarantined.empty()) {
-    // Deterministic report order regardless of reader interleaving.
-    std::sort(quarantined.begin(), quarantined.end(),
-              [](const QuarantineRecord& a, const QuarantineRecord& b) {
-                return a.rank < b.rank;
-              });
-    telemetry::counter("archive.read.quarantined")
-        .add(quarantined.size());
-    const std::size_t pruned = tracing::prune_quarantined(
-        tc, [&] {
-          std::vector<Rank> rs;
-          for (const auto& q : quarantined) rs.push_back(q.rank);
-          return rs;
-        }());
+    // Quarantined ranks come back as empty traces; survivors are pruned
+    // of the events that can no longer match.
+    std::vector<Rank> rs;
+    for (const auto& q : quarantined) {
+      rs.push_back(q.rank);
+      tc.ranks[static_cast<std::size_t>(q.rank)] = tracing::LocalTrace{};
+      tc.ranks[static_cast<std::size_t>(q.rank)].rank = q.rank;
+    }
+    const std::size_t pruned = tracing::prune_quarantined(tc, rs);
     telemetry::counter("archive.read.pruned_events").add(pruned);
     if (report) {
       report->quarantined = std::move(quarantined);
@@ -389,105 +481,60 @@ tracing::StreamSource ExperimentArchive::stream_source(
 
   tracing::StreamSource src;
   src.use_mmap = opts.use_mmap;
-  std::atomic<std::uint64_t> bytes{0};
-  {
-    const auto dirs = partial_dirs();
-    bool have_defs = false;
-    for (std::size_t i = 0; i < dirs.size(); ++i) {
-      const std::string path = dirs[i] + "/" + tracing::defs_filename();
-      try {
-        const MappedFile f = MappedFile::open(path, opts.use_mmap);
-        src.defs = tracing::decode_defs(f.data(), f.size(), path);
-        bytes.fetch_add(f.size(), std::memory_order_relaxed);
-        have_defs = true;
-        break;
-      } catch (const Error&) {
-        if (!opts.permissive || i + 1 == dirs.size()) throw;
-      }
-    }
-    MSC_ASSERT(have_defs, "defs decode fell through");
-  }
-
-  src.paths.resize(static_cast<std::size_t>(src.defs.num_ranks()));
-  std::vector<std::pair<std::size_t, Rank>> files;
-  for (std::size_t m = 0; m < dir_by_metahost_.size(); ++m)
-    for (Rank r : ranks_by_metahost_[m]) {
-      files.emplace_back(m, r);
-      src.paths[static_cast<std::size_t>(r)] =
-          dir_by_metahost_[m] + "/" + tracing::trace_filename(r);
-    }
+  std::uint64_t defs_bytes = 0;
+  src.defs = read_defs_replica(partial_dirs(), opts, defs_bytes);
+  std::atomic<std::uint64_t> bytes{defs_bytes};
+  std::vector<QuarantineRecord> quarantined;
+  src.blocks =
+      locate_blocks(src.defs.ranks.size(), opts.permissive, quarantined);
 
   // Open-time validation fan-out: everything short of the column
-  // payloads is checked per rank, so a corrupt file is caught (and, in
+  // payloads is checked per rank, so a corrupt block is caught (and, in
   // permissive mode, quarantined) before any analysis state exists.
-  // The replay re-opens the files; the whole file's bytes are counted
-  // as read here, since streaming decodes all of them exactly once.
-  std::mutex quarantine_mu;
-  std::vector<QuarantineRecord> quarantined;
-  telemetry::RecordingObserver rec_obs(
-      "archive_stream_open",
-      telemetry::RecordingObserver::fanout_stride(files.size()));
-  const auto pst = parallel_for(
-      files.size(), opts.max_workers,
-      [&](std::size_t i) {
-        const auto [m, r] = files[i];
-        const std::string& path = src.paths[static_cast<std::size_t>(r)];
-        try {
-          const MappedFile f = MappedFile::open(path, opts.use_mmap);
-          tracing::TraceStream s(f.data(), f.size(), path);
-          bytes.fetch_add(f.size(), std::memory_order_relaxed);
-          if (s.rank() != r)
-            throw Error(ErrorCode::Corrupt,
-                        "trace file rank mismatch (file claims rank " +
-                            std::to_string(s.rank()) + ")",
-                        ErrorContext{path, r, -1});
-          if (opts.permissive) {
-            // Quarantine decisions must match read_traces, and open-time
-            // validation alone cannot see codec-level corruption inside
-            // the column payloads. Permissive mode therefore drains each
-            // stream once — windows are decoded and discarded, nothing
-            // is materialized — so every rank is classified up front.
-            // Strict mode skips the drain: payload corruption surfaces
-            // from whichever replay window decodes it, with the same
-            // error code and file/rank context.
-            std::vector<tracing::Event> sink;
-            while (!s.at_end()) {
-              sink.clear();
-              s.next(sink, 4096);
-            }
+  // The replay maps the blocks again; each block's bytes are counted as
+  // read here, since streaming decodes all of them exactly once.
+  for_each_block(
+      src.blocks, opts, "archive_stream_open", quarantined,
+      [&](Rank r, const tracing::TraceBlock& b) {
+        const MappedFile f =
+            MappedFile::open(b.path, b.offset, b.length, opts.use_mmap);
+        tracing::TraceStream s(f.data(), f.size(), b.path, b.offset);
+        bytes.fetch_add(f.size(), std::memory_order_relaxed);
+        check_block_rank(s.rank(), r, b);
+        if (opts.permissive) {
+          // Quarantine decisions must match read_traces, and open-time
+          // validation alone cannot see codec-level corruption inside
+          // the column payloads. Permissive mode therefore drains each
+          // stream once — windows are decoded and discarded, nothing is
+          // materialized — so every rank is classified up front. Strict
+          // mode skips the drain: payload corruption surfaces from
+          // whichever replay window decodes it, with the same error code
+          // and container/rank/offset context.
+          std::vector<tracing::Event> sink;
+          while (!s.at_end()) {
+            sink.clear();
+            s.next(sink, 4096);
           }
-        } catch (const Error& e) {
-          if (!opts.permissive)
-            throw e.with_context(ErrorContext{path, r, -1});
-          const std::lock_guard<std::mutex> lock(quarantine_mu);
-          quarantined.push_back(
-              QuarantineRecord{r, path, e.code(), e.base_message()});
         }
-      },
-      &rec_obs);
-  telemetry::record_stage_parallelism("archive_stream_open", pst);
+      });
   telemetry::counter("archive.read.bytes")
       .add(bytes.load(std::memory_order_relaxed));
 
-  if (!quarantined.empty()) {
-    std::sort(quarantined.begin(), quarantined.end(),
-              [](const QuarantineRecord& a, const QuarantineRecord& b) {
-                return a.rank < b.rank;
-              });
-    telemetry::counter("archive.read.quarantined").add(quarantined.size());
-    for (const auto& q : quarantined) src.quarantined.push_back(q.rank);
-    if (report) report->quarantined = std::move(quarantined);
-  }
+  for (const auto& q : quarantined) src.quarantined.push_back(q.rank);
+  if (report) report->quarantined = std::move(quarantined);
   return src;
 }
 
 tracing::LocalTrace ExperimentArchive::read_local_trace(
     const simnet::Topology& topo, Rank r) const {
-  const std::string path =
-      dir_of(topo.metahost_of(r)) + "/" + tracing::trace_filename(r);
+  const MetahostId m = topo.metahost_of(r);
+  const std::string path = container_path(m);
   try {
-    const MappedFile f = MappedFile::open(path);
-    return tracing::decode_local_trace(f.data(), f.size(), path);
+    const auto index = tracing::read_container_index(
+        path, m.get(), ranks_by_metahost_[static_cast<std::size_t>(m.get())]);
+    const tracing::TraceBlock b = block_of(index, path, r);
+    const MappedFile f = MappedFile::open(b.path, b.offset, b.length);
+    return tracing::decode_local_trace(f.data(), f.size(), path, b.offset);
   } catch (const Error& e) {
     throw e.with_context(ErrorContext{path, r, -1});
   }

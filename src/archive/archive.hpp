@@ -34,10 +34,13 @@ namespace metascope::archive {
 
 /// How read_traces reacts to undecodable data (see ReadReport).
 struct ReadOptions {
-  /// Strict (default): the first undecodable file aborts the read with
-  /// a typed Error naming the file, rank, and byte offset. Permissive:
-  /// ranks whose trace files are missing/corrupt are *quarantined* —
-  /// their traces come back empty, events in surviving ranks that can
+  /// Strict (default): the first undecodable block aborts the read with
+  /// a typed Error naming the container, rank, and byte offset.
+  /// Permissive: ranks whose trace blocks are missing/corrupt are
+  /// *quarantined* — a corrupt block quarantines its own rank, a
+  /// container whose header or index does not decode (or that is
+  /// missing) all ranks of that container. Quarantined ranks' traces
+  /// come back empty, events in surviving ranks that can
   /// no longer match (p2p with a quarantined peer, collectives on a
   /// communicator containing one) are pruned, and the analyzer proceeds
   /// on the survivors. Quarantines are recorded in the ReadReport and
@@ -47,8 +50,9 @@ struct ReadOptions {
   /// Per-rank reads fan out on up to this many threads (0 = hardware
   /// concurrency). The result is identical for any count.
   std::size_t max_workers{0};
-  /// Decode each trace file straight out of a memory mapping (the
-  /// zero-copy path) instead of copying it into a heap buffer first.
+  /// Decode each trace block straight out of a memory mapping of its
+  /// pages (the zero-copy path) instead of copying it into a heap
+  /// buffer first.
   /// The decoded traces are byte-identical either way (tests assert the
   /// parity); platforms without mmap silently use the copy path.
   bool use_mmap{true};
@@ -143,14 +147,19 @@ class ExperimentArchive {
   [[nodiscard]] const std::string& dir_of(MetahostId m) const;
   /// All distinct partial-archive directories.
   [[nodiscard]] std::vector<std::string> partial_dirs() const;
+  /// The container holding the given metahost's trace blocks
+  /// (tracing/container.hpp), inside its partial archive.
+  [[nodiscard]] std::string container_path(MetahostId m) const;
 
   /// Writes each rank's local trace into the partial archive of its
   /// metahost, plus the shared definitions and a manifest into every
-  /// partial archive. The per-rank encodes + writes are independent
-  /// (distinct files), so they fan out on up to `max_workers` threads
-  /// (0 = hardware concurrency); the bytes written are identical for
-  /// any count. Telemetry: "archive.bytes_on_disk" accumulates the
-  /// encoded bytes written (defs replicas + every trace file) and
+  /// partial archive. A metahost's traces go into one container file
+  /// (tracing/container.hpp), one block per rank in rank order. The
+  /// per-rank encodes fan out on up to `max_workers` threads (0 =
+  /// hardware concurrency) and each block is appended to its container
+  /// in rank order; the bytes written are identical for any count.
+  /// Telemetry: "archive.bytes_on_disk" accumulates the encoded bytes
+  /// written (defs replicas + every container, index included) and
   /// "archive.bytes_in_memory" the resident size of the collection —
   /// their ratio is the trace-format compression ratio the bench
   /// sidecars report.
@@ -174,12 +183,12 @@ class ExperimentArchive {
       std::size_t max_workers = 0) const;
 
   /// Builds a bounded-memory streaming view of the archive instead of
-  /// materializing it: the shared definitions plus each rank's
-  /// trace-file path, with every trace file validated up front through
-  /// the windowed reader (tracing::TraceStream — header, counts, type
+  /// materializing it: the shared definitions plus each rank's block
+  /// location, with every block validated up front through the
+  /// windowed reader (tracing::TraceStream — header, counts, type
   /// stream and column frames are checked; column payloads stay on
   /// disk until replay windows pull them in). Strict mode rethrows the
-  /// first failure with file/rank context. Permissive mode quarantines
+  /// first failure with container/rank context. Permissive mode quarantines
   /// undecodable ranks in the source (and the report): they stream
   /// zero events and analysis::analyze_streaming filters surviving
   /// ranks' events against them on the fly, mirroring
@@ -188,8 +197,9 @@ class ExperimentArchive {
   [[nodiscard]] tracing::StreamSource stream_source(
       const ReadOptions& opts, ReadReport* report = nullptr) const;
 
-  /// Loads one rank's trace from the partial archive of its metahost —
-  /// the parallel analyzer's access pattern (local data only).
+  /// Loads one rank's trace from the container of its metahost — the
+  /// local-data-only access pattern of a per-process analyzer (reads
+  /// the container index, then maps just the rank's block).
   [[nodiscard]] tracing::LocalTrace read_local_trace(
       const simnet::Topology& topo, Rank r) const;
   /// Loads the shared definitions from the partial archive visible to
@@ -197,8 +207,20 @@ class ExperimentArchive {
   [[nodiscard]] tracing::TraceCollection read_defs(MetahostId m) const;
 
  private:
+  /// Every rank's block, found through its metahost's container index
+  /// (slots indexed by rank). Strict: the first failure throws,
+  /// containers in metahost order, ranks ascending. Permissive: a
+  /// container whose header or index fails quarantines all its ranks,
+  /// a rank missing from its index only that rank; quarantined slots
+  /// keep an empty path.
+  std::vector<tracing::TraceBlock> locate_blocks(
+      std::size_t num_ranks, bool permissive,
+      std::vector<QuarantineRecord>& quarantined) const;
+
   std::string name_;
   std::vector<std::string> dir_by_metahost_;  ///< indexed by metahost id
+  /// Each metahost's ranks, ascending: the list its manifest records
+  /// and its container index is checked against.
   std::vector<std::vector<Rank>> ranks_by_metahost_;
 };
 

@@ -4,6 +4,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -121,7 +122,7 @@ std::string BufReader::get_string() {
 
 void Decoder::fail(ErrorCode code, const std::string& msg) const {
   ErrorContext ctx = ctx_;
-  ctx.byte_offset = static_cast<std::int64_t>(pos_);
+  ctx.byte_offset = base_ + static_cast<std::int64_t>(pos_);
   throw Error(code, msg, std::move(ctx));
 }
 
@@ -338,48 +339,71 @@ MappedFile::~MappedFile() {
 }
 
 MappedFile MappedFile::open(const std::string& path, bool allow_mmap) {
+  return open(path, 0, kToEnd, allow_mmap);
+}
+
+MappedFile MappedFile::open(const std::string& path, std::uint64_t offset,
+                            std::uint64_t length, bool allow_mmap) {
+  std::error_code ec;
+  const bool regular = std::filesystem::is_regular_file(path, ec);
+  const std::uint64_t file_size =
+      regular ? std::filesystem::file_size(path, ec) : 0;
+  if (!regular || ec)
+    throw Error(ErrorCode::Io,
+                "cannot open for read (" +
+                    (ec ? ec.message() : std::string("not a regular file")) +
+                    ")",
+                ErrorContext{path, -1, -1});
+  if (length == kToEnd) length = offset <= file_size ? file_size - offset : 0;
+  if (offset > file_size || length > file_size - offset)
+    throw Error(ErrorCode::Truncated,
+                "file ends at byte " + std::to_string(file_size) +
+                    " inside the requested range [" + std::to_string(offset) +
+                    ", +" + std::to_string(length) + ")",
+                ErrorContext{path, -1, static_cast<std::int64_t>(file_size)});
   MappedFile f;
+  // mmap rejects zero-length mappings; an empty view is valid and simply
+  // fails decoding with Truncated later.
+  if (length == 0) return f;
 #if defined(__unix__) || defined(__APPLE__)
-  if (allow_mmap) {
-    errno = 0;
-    const int fd = ::open(path.c_str(), O_RDONLY);
-    if (fd < 0)
-      throw Error(ErrorCode::Io,
-                  std::string("cannot open for read (") +
-                      std::strerror(errno) + ")",
-                  ErrorContext{path, -1, -1});
-    struct stat st{};
-    if (::fstat(fd, &st) != 0 || !S_ISREG(st.st_mode)) {
-      const std::string why =
-          errno ? std::strerror(errno) : "not a regular file";
-      ::close(fd);
-      throw Error(ErrorCode::Io, "cannot stat for read (" + why + ")",
-                  ErrorContext{path, -1, -1});
-    }
-    const auto size = static_cast<std::size_t>(st.st_size);
-    if (size == 0) {
-      // mmap rejects zero-length mappings; an empty file is a valid
-      // (empty) view that simply fails decoding with Truncated later.
-      ::close(fd);
-      return f;
-    }
-    void* map = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
+  const int fd = allow_mmap ? ::open(path.c_str(), O_RDONLY) : -1;
+  if (fd >= 0) {
+    // Map whole pages: the mapping starts at the page holding `offset`,
+    // and data() points at `offset` inside it.
+    const auto page = static_cast<std::uint64_t>(::sysconf(_SC_PAGESIZE));
+    const std::uint64_t start = offset - offset % page;
+    const auto map_len = static_cast<std::size_t>(offset + length - start);
+    void* map = ::mmap(nullptr, map_len, PROT_READ, MAP_PRIVATE, fd,
+                       static_cast<off_t>(start));
     ::close(fd);  // the mapping keeps its own reference
     if (map != MAP_FAILED) {
 #if defined(POSIX_MADV_SEQUENTIAL)
-      ::posix_madvise(map, size, POSIX_MADV_SEQUENTIAL);
+      ::posix_madvise(map, map_len, POSIX_MADV_SEQUENTIAL);
 #endif
       f.map_ = map;
-      f.map_len_ = size;
-      f.data_ = static_cast<const std::uint8_t*>(map);
-      f.size_ = size;
+      f.map_len_ = map_len;
+      f.data_ = static_cast<const std::uint8_t*>(map) + (offset - start);
+      f.size_ = static_cast<std::size_t>(length);
       return f;
     }
     // Mapping refused (e.g. a file system without mmap support): fall
     // through to the owned-buffer path.
   }
+#else
+  (void)allow_mmap;
 #endif
-  f.fallback_ = read_file_bytes(path);
+  errno = 0;
+  std::ifstream in(path, std::ios::binary);
+  f.fallback_.resize(static_cast<std::size_t>(length));
+  in.seekg(static_cast<std::streamoff>(offset));
+  in.read(reinterpret_cast<char*>(f.fallback_.data()),
+          static_cast<std::streamsize>(length));
+  if (!in)
+    throw Error(ErrorCode::Io,
+                std::string("read failed") +
+                    (errno ? std::string(" (") + std::strerror(errno) + ")"
+                           : ""),
+                ErrorContext{path, -1, -1});
   f.data_ = f.fallback_.data();
   f.size_ = f.fallback_.size();
   return f;

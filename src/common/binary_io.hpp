@@ -87,8 +87,17 @@ class Decoder {
   /// Hard ceiling on one string (region/metahost/comm names).
   static constexpr std::uint64_t kMaxStringBytes = 1ULL << 20;
 
+  /// A non-negative ctx.byte_offset is the absolute file offset of
+  /// data[0] (a decoder over one slice of a larger file, e.g. a rank's
+  /// block inside a container): failures then report that base plus
+  /// the decoder's position, so offsets always address the file.
   Decoder(const std::uint8_t* data, std::size_t size, ErrorContext ctx = {})
-      : data_(data), size_(size), ctx_(std::move(ctx)) {}
+      : data_(data),
+        size_(size),
+        base_(ctx.byte_offset > 0 ? ctx.byte_offset : 0),
+        ctx_(std::move(ctx)) {
+    ctx_.byte_offset = -1;
+  }
   explicit Decoder(const std::vector<std::uint8_t>& buf, ErrorContext ctx = {})
       : Decoder(buf.data(), buf.size(), std::move(ctx)) {}
 
@@ -151,6 +160,7 @@ class Decoder {
   const std::uint8_t* data_;
   std::size_t size_;
   std::size_t pos_{0};
+  std::int64_t base_{0};  ///< file offset of data_[0]
   ErrorContext ctx_;
 };
 
@@ -160,21 +170,29 @@ void write_file_bytes(const std::string& path,
                       const std::vector<std::uint8_t>& bytes);
 std::vector<std::uint8_t> read_file_bytes(const std::string& path);
 
-/// A read-only view of a whole file, memory-mapped when the platform
-/// supports it (POSIX mmap) and read into an owned buffer otherwise.
-/// The zero-copy archive read path decodes trace files straight out of
-/// the mapping instead of copying them through read_file_bytes first.
+/// A read-only view of a file or of a byte range in one, memory-mapped
+/// when the platform supports it (POSIX mmap) and read into an owned
+/// buffer otherwise. The zero-copy archive read path decodes trace
+/// blocks straight out of the mapping instead of copying them first.
 ///
-/// Zero-length files yield an empty view without mapping (mmap rejects
-/// length 0). Decoding results are byte-for-byte identical whichever
-/// path backs the view — tests assert the parity. Move-only; the
-/// mapping is released on destruction.
+/// Zero-length views are empty and unmapped (mmap rejects length 0).
+/// Decoding results are byte-for-byte identical whichever path backs
+/// the view — tests assert the parity. Move-only; the mapping is
+/// released on destruction.
 class MappedFile {
  public:
   /// Opens `path`; throws Error (ErrorCode::Io, path attached) if it
   /// cannot be opened or read. With allow_mmap = false (or on platforms
   /// without mmap) the file is read into an owned buffer instead.
   static MappedFile open(const std::string& path, bool allow_mmap = true);
+  /// Views only bytes [offset, offset + length) of `path` (kToEnd = to
+  /// the end of the file). The mapping covers just the pages holding
+  /// that range, so a reader of one rank's block inside a container
+  /// file does not fault in its neighbours. A range past the end of the
+  /// file is Truncated (offset = the file size).
+  static MappedFile open(const std::string& path, std::uint64_t offset,
+                         std::uint64_t length, bool allow_mmap = true);
+  static constexpr std::uint64_t kToEnd = ~std::uint64_t{0};
 
   MappedFile() = default;
   MappedFile(MappedFile&& other) noexcept { *this = std::move(other); }

@@ -225,10 +225,14 @@ void put_xor_stream(BufWriter& w, const double* v, std::size_t n) {
 }  // namespace
 
 void encode_int_column(BufWriter& w, const std::int64_t* v, std::size_t n) {
-  std::int64_t prev = 0;
+  // The delta wraps in uint64, mirroring decode_int_column: extremes
+  // (INT64_MAX after -1) stay defined, and every delta that fits in
+  // int64 encodes exactly as the signed difference would.
+  std::uint64_t prev = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    w.put_svarint(v[i] - prev);
-    prev = v[i];
+    const auto cur = static_cast<std::uint64_t>(v[i]);
+    w.put_svarint(static_cast<std::int64_t>(cur - prev));
+    prev = cur;
   }
 }
 

@@ -582,8 +582,9 @@ std::vector<std::uint8_t> encode_local_trace(const LocalTrace& trace,
 }
 
 LocalTrace decode_local_trace(const std::uint8_t* data, std::size_t size,
-                              const std::string& path) {
-  Decoder d(data, size, ErrorContext{path, -1, -1});
+                              const std::string& path, std::uint64_t base) {
+  Decoder d(data, size,
+            ErrorContext{path, -1, static_cast<std::int64_t>(base)});
   d.expect_magic(kTraceMagic, "trace file");
   const std::uint32_t version = d.expect_version_in(
       kMinTraceFormatVersion, kTraceFormatVersion, "trace file");
@@ -651,37 +652,5 @@ LocalTrace decode_local_trace(const std::vector<std::uint8_t>& bytes,
 }
 
 std::string defs_filename() { return "experiment.defs"; }
-
-std::string trace_filename(Rank rank) {
-  return "trace." + std::to_string(rank) + ".elg";
-}
-
-void write_collection(const std::string& dir, const TraceCollection& tc,
-                      std::uint32_t version) {
-  write_file_bytes(dir + "/" + defs_filename(), encode_defs(tc, version));
-  for (const auto& t : tc.ranks)
-    write_file_bytes(dir + "/" + trace_filename(t.rank),
-                     encode_local_trace(t, version));
-}
-
-TraceCollection read_collection(const std::string& dir) {
-  const std::string defs_path = dir + "/" + defs_filename();
-  const MappedFile defs = MappedFile::open(defs_path);
-  TraceCollection tc = decode_defs(defs.data(), defs.size(), defs_path);
-  for (int r = 0; r < tc.num_ranks(); ++r) {
-    const std::string path = dir + "/" + trace_filename(r);
-    const MappedFile f = MappedFile::open(path);
-    tc.ranks[static_cast<std::size_t>(r)] =
-        decode_local_trace(f.data(), f.size(), path);
-    if (tc.ranks[static_cast<std::size_t>(r)].rank != r)
-      throw Error(ErrorCode::Corrupt,
-                  "trace file rank mismatch (file claims rank " +
-                      std::to_string(tc.ranks[static_cast<std::size_t>(r)]
-                                         .rank) +
-                      ")",
-                  ErrorContext{path, r, -1});
-  }
-  return tc;
-}
 
 }  // namespace metascope::tracing

@@ -1,8 +1,9 @@
 // Binary trace format ("EPILOG-like"): one definitions file shared by the
-// experiment plus one event file per process. The per-process split is
+// experiment plus one event trace per process. The per-process split is
 // what makes the metacomputing archive layout (paper §4 "Runtime archive
 // management") natural: each metahost's partial archive holds exactly the
-// files of its own processes.
+// traces of its own processes, as blocks of one container file
+// (tracing/container.hpp).
 //
 // Format versions (decode accepts all of them; encode takes a version
 // knob defaulting to the newest — see DESIGN.md §5e for the byte-level
@@ -72,23 +73,19 @@ std::vector<std::uint8_t> encode_local_trace(const LocalTrace& trace,
                                              std::uint32_t version =
                                                  kTraceFormatVersion);
 
-/// Decodes a trace file of any known version (the header's version
+/// Decodes a trace of any known version (the header's version
 /// field selects the layout). The pointer overload borrows the buffer —
-/// nothing is copied out of it except the decoded trace itself.
+/// nothing is copied out of it except the decoded trace itself. `base`
+/// is the file offset of data[0] when the trace is a block inside a
+/// container, so error offsets address the container file.
 LocalTrace decode_local_trace(const std::uint8_t* data, std::size_t size,
-                              const std::string& path = {});
+                              const std::string& path = {},
+                              std::uint64_t base = 0);
 LocalTrace decode_local_trace(const std::vector<std::uint8_t>& bytes,
                               const std::string& path = {});
 
-/// Conventional file names inside an archive directory.
+/// Conventional name of the definitions file inside an archive
+/// directory (the per-rank traces live in containers, container.hpp).
 std::string defs_filename();
-std::string trace_filename(Rank rank);
-
-/// Writes defs + all rank traces into `dir` (must exist).
-void write_collection(const std::string& dir, const TraceCollection& tc,
-                      std::uint32_t version = kTraceFormatVersion);
-
-/// Reads a collection previously written by write_collection.
-TraceCollection read_collection(const std::string& dir);
 
 }  // namespace metascope::tracing

@@ -66,24 +66,30 @@ void TraceStream::rethrow(const Error& e, std::size_t events_done) const {
               e.context());
 }
 
+ErrorContext TraceStream::cursor_context(const Col& c) const {
+  // A cursor decodes from the column's first byte; its errors report
+  // offsets into the file, like the batch decoder's.
+  return ErrorContext{path_, rank_,
+                      static_cast<std::int64_t>(base_ + c.start)};
+}
+
 colcodec::IntColumnCursor TraceStream::int_cursor(const Col& c,
                                                   const char* what) const {
   return colcodec::IntColumnCursor(data_ + c.start, size_ - c.start, c.len,
-                                   c.n, what,
-                                   ErrorContext{path_, rank_, -1});
+                                   c.n, what, cursor_context(c));
 }
 
 colcodec::DoubleColumnCursor TraceStream::double_cursor(
     const Col& c, const char* what) const {
   return colcodec::DoubleColumnCursor(data_ + c.start, size_ - c.start,
-                                      c.len, c.n, what,
-                                      ErrorContext{path_, rank_, -1});
+                                      c.len, c.n, what, cursor_context(c));
 }
 
 TraceStream::TraceStream(const std::uint8_t* data, std::size_t size,
-                         std::string path)
-    : data_(data), size_(size), path_(std::move(path)) {
-  Decoder d(data_, size_, ErrorContext{path_, -1, -1});
+                         std::string path, std::uint64_t base)
+    : data_(data), size_(size), base_(base), path_(std::move(path)) {
+  Decoder d(data_, size_,
+            ErrorContext{path_, -1, static_cast<std::int64_t>(base_)});
   d.expect_magic(kTraceMagic, "trace file");
   // Streaming is a v3-only feature: the columnar layout is what makes a
   // windowed read possible at all.

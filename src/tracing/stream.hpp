@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "common/column_codec.hpp"
+#include "tracing/container.hpp"
 #include "tracing/epilog_io.hpp"
 #include "tracing/trace.hpp"
 
@@ -49,10 +50,13 @@ struct LightEvent {
 class TraceStream {
  public:
   /// Opens over borrowed bytes (they must outlive the stream — the
-  /// archive layer passes a MappedFile's view). Validates everything up
-  /// to but excluding the column payloads; throws taxonomy-typed Errors
-  /// exactly like decode_local_trace.
-  TraceStream(const std::uint8_t* data, std::size_t size, std::string path);
+  /// archive layer passes the MappedFile view of a container block;
+  /// `base` is the block's file offset, so error offsets address the
+  /// container). Validates everything up to but excluding the column
+  /// payloads; throws taxonomy-typed Errors exactly like
+  /// decode_local_trace.
+  TraceStream(const std::uint8_t* data, std::size_t size, std::string path,
+              std::uint64_t base = 0);
 
   [[nodiscard]] Rank rank() const { return rank_; }
   [[nodiscard]] std::uint64_t num_events() const { return nev_; }
@@ -89,6 +93,7 @@ class TraceStream {
     return i % 2 == 0 ? static_cast<std::uint8_t>(b & 0xF)
                       : static_cast<std::uint8_t>(b >> 4);
   }
+  [[nodiscard]] ErrorContext cursor_context(const Col& c) const;
   [[nodiscard]] colcodec::IntColumnCursor int_cursor(const Col& c,
                                                      const char* what) const;
   [[nodiscard]] colcodec::DoubleColumnCursor double_cursor(
@@ -101,6 +106,7 @@ class TraceStream {
 
   const std::uint8_t* data_{nullptr};
   std::size_t size_{0};
+  std::uint64_t base_{0};  ///< file offset of data_[0]
   std::string path_;
   Rank rank_{kNoRank};
   std::uint64_t nev_{0};
@@ -134,17 +140,19 @@ class TraceStream {
   std::vector<std::int64_t> b_coll_region_, b_coll_comm_, b_coll_root_;
 };
 
-/// A streamable experiment: the shared definitions plus each rank's
-/// trace file path. Produced by archive::ExperimentArchive::stream_source
-/// (which performs open-time validation and, in permissive mode, fills
-/// `quarantined`); consumed by analysis::analyze_streaming.
+/// A streamable experiment: the shared definitions plus where each
+/// rank's block sits in its container. Produced by
+/// archive::ExperimentArchive::stream_source (which performs open-time
+/// validation and, in permissive mode, fills `quarantined`); consumed by
+/// analysis::analyze_streaming, which maps each block's pages on its own.
 struct StreamSource {
   /// Defs, flags and rank slots (event vectors stay empty).
   TraceCollection defs;
-  /// Per-rank trace file path, indexed by rank.
-  std::vector<std::string> paths;
+  /// Per-rank block location, indexed by rank (empty path for a rank
+  /// quarantined before its block could be located).
+  std::vector<TraceBlock> blocks;
   bool use_mmap{true};
-  /// Ranks whose files failed open-time validation under a permissive
+  /// Ranks whose blocks failed open-time validation under a permissive
   /// read: they stream zero events, and surviving ranks' events are
   /// filtered against them exactly like tracing::prune_quarantined
   /// (sorted ascending).

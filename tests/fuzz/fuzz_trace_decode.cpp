@@ -20,6 +20,16 @@
 // same invariant as the batch decoder, and the truncated-mid-block
 // corpus mutants aim the mutator straight at the window boundaries.
 //
+// An input that starts with the container magic ("MCSC") is decoded as
+// a rank-block container too: the index decoder runs against the
+// input's own size and a four-rank manifest {0, 1, 2, 3} (the seed
+// experiment's ranks), and every block it accepts is decoded and
+// analyzed as a trace, with its offset as the block base.
+// make_fuzz_corpus seeds a clean container plus the malformed-index
+// cases (truncated header, index past EOF, block past EOF, overlapping
+// blocks, duplicate rank, rank missing from the manifest, zero-length
+// block).
+//
 // A trace that decodes goes on into the analyzer: it becomes rank 0 of
 // a one-rank collection with fixed minimal definitions (one
 // communicator, four regions) and is replayed by analyze_parallel on
@@ -31,6 +41,7 @@
 
 #include "analysis/analyzer.hpp"
 #include "common/error.hpp"
+#include "tracing/container.hpp"
 #include "tracing/epilog_io.hpp"
 #include "tracing/stream.hpp"
 
@@ -61,6 +72,25 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     analyze_as_rank0(metascope::tracing::decode_local_trace(bytes, "<fuzz>"));
   } catch (const metascope::Error&) {
     // Typed rejection is the expected outcome for invalid input.
+  }
+  std::uint32_t magic = 0;
+  for (std::size_t i = 0; i < 4 && i < size; ++i)
+    magic |= static_cast<std::uint32_t>(data[i]) << (8 * i);
+  if (magic == metascope::tracing::kContainerMagic) {
+    try {
+      static const std::vector<metascope::Rank> kManifest{0, 1, 2, 3};
+      const auto index = metascope::tracing::decode_container_index(
+          data, size, "<fuzz>", -1, &kManifest);
+      for (const auto& b : index) {
+        try {
+          analyze_as_rank0(metascope::tracing::decode_local_trace(
+              data + b.offset, static_cast<std::size_t>(b.length), "<fuzz>",
+              b.offset));
+        } catch (const metascope::Error&) {
+        }
+      }
+    } catch (const metascope::Error&) {
+    }
   }
   try {
     (void)metascope::tracing::decode_defs(bytes, "<fuzz>");

@@ -19,7 +19,9 @@
 #include "clocksync/correction.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "container_edit.hpp"
 #include "simnet/presets.hpp"
+#include "tracing/container.hpp"
 #include "tracing/epilog_io.hpp"
 #include "tracing/stream.hpp"
 #include "workloads/experiment.hpp"
@@ -368,9 +370,9 @@ TEST(MalformedTrace, PermissiveStreamRejectsOutOfRangeComm) {
   auto arch = archive::ExperimentArchive::create(
       topo, archive::FileSystemLayout::shared(dir, 1), "exp");
   arch.write_traces(topo, tc);
-  // Empty rank 0's trace file: a permissive read quarantines it.
-  std::filesystem::resize_file(
-      dir + "/exp.msc/" + tracing::trace_filename(0), 0);
+  // Empty rank 0's trace block: a permissive read quarantines it.
+  container_edit::write_block(
+      dir + "/exp.msc/" + tracing::container_filename(0), 0, {});
   archive::ReadOptions ropts;
   ropts.permissive = true;
   const tracing::StreamSource src = arch.stream_source(ropts);

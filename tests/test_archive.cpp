@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <filesystem>
 #include <string>
@@ -11,9 +12,10 @@
 #include "common/binary_io.hpp"
 #include "common/error.hpp"
 #include "common/json.hpp"
+#include "container_edit.hpp"
 #include "simmpi/program.hpp"
-#include "tracing/epilog_io.hpp"
 #include "simnet/presets.hpp"
+#include "tracing/container.hpp"
 #include "tracing/measurement.hpp"
 #include "workloads/experiment.hpp"
 #include "workloads/metatrace.hpp"
@@ -121,16 +123,73 @@ TEST_F(ArchiveTest, EachRankTraceLandsOnItsOwnFileSystem) {
   const auto arch = ExperimentArchive::create(topo, layout, "mt");
   arch.write_traces(topo, data.traces);
   for (Rank r = 0; r < topo.num_ranks(); ++r) {
-    const std::string expected = layout.root_of(topo.metahost_of(r)) +
-                                 "/mt.msc/" + tracing::trace_filename(r);
-    EXPECT_TRUE(fs::exists(expected)) << expected;
+    // The rank's block sits in its own metahost's container, on its own
+    // file system...
+    const MetahostId home = topo.metahost_of(r);
+    const std::string expected = layout.root_of(home) + "/mt.msc/" +
+                                 tracing::container_filename(home.get());
+    ASSERT_TRUE(fs::exists(expected)) << expected;
+    const auto c = container_edit::Container::load_file(expected);
+    EXPECT_NE(std::find(c.ranks.begin(), c.ranks.end(), r), c.ranks.end())
+        << expected << " lacks rank " << r;
     // And nowhere else.
     for (int m = 0; m < topo.num_metahosts(); ++m) {
-      if (topo.metahost_of(r) == MetahostId{m}) continue;
-      const std::string wrong = layout.root_of(MetahostId{m}) + "/mt.msc/" +
-                                tracing::trace_filename(r);
-      EXPECT_FALSE(fs::exists(wrong)) << wrong;
+      if (home == MetahostId{m}) continue;
+      const std::string other = layout.root_of(MetahostId{m}) + "/mt.msc/" +
+                                tracing::container_filename(m);
+      const auto oc = container_edit::Container::load_file(other);
+      EXPECT_EQ(std::find(oc.ranks.begin(), oc.ranks.end(), r),
+                oc.ranks.end())
+          << other << " holds rank " << r;
+      EXPECT_FALSE(fs::exists(layout.root_of(MetahostId{m}) + "/mt.msc/" +
+                              tracing::container_filename(home.get())));
     }
+  }
+}
+
+/// Names of the files in a directory, sorted.
+std::vector<std::string> file_names(const std::string& dir) {
+  std::vector<std::string> out;
+  for (const auto& e : fs::directory_iterator(dir))
+    out.push_back(e.path().filename().string());
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+TEST_F(ArchiveTest, FileCountDoesNotGrowWithRanks) {
+  // Two metahosts sharing one file system, at 64 and at 1024 ranks: the
+  // archive always holds the defs, one manifest and one container per
+  // metahost, and nothing per rank.
+  for (const int per_metahost : {32, 512}) {
+    simnet::Topology topo;
+    simnet::MetahostSpec a;
+    a.name = "A";
+    a.num_nodes = per_metahost;
+    simnet::MetahostSpec b = a;
+    b.name = "B";
+    topo.place_block(topo.add_metahost(a), per_metahost, 1);
+    topo.place_block(topo.add_metahost(b), per_metahost, 1);
+    simmpi::ProgramBuilder pb(topo.num_ranks());
+    for (Rank r = 0; r < topo.num_ranks(); ++r)
+      pb.on(r).enter("main").barrier().exit();
+    workloads::ExperimentConfig cfg;
+    cfg.perfect_clocks = true;
+    cfg.measurement.scheme = tracing::SyncScheme::None;
+    const auto data = workloads::run_experiment(topo, pb.take(), cfg);
+
+    const std::string name = "n" + std::to_string(topo.num_ranks());
+    const auto arch = ExperimentArchive::create(
+        topo, FileSystemLayout::shared(base_, 2), name);
+    arch.write_traces(topo, data.traces);
+    EXPECT_EQ(file_names(arch.dir_of(MetahostId{0})),
+              (std::vector<std::string>{"experiment.defs", "manifest.0.json",
+                                        "manifest.1.json", "traces.0.elg",
+                                        "traces.1.elg"}))
+        << topo.num_ranks() << " ranks";
+    const auto loaded = arch.read_traces();
+    for (int r = 0; r < loaded.num_ranks(); ++r)
+      ASSERT_EQ(loaded.ranks[static_cast<std::size_t>(r)],
+                data.traces.ranks[static_cast<std::size_t>(r)]);
   }
 }
 
@@ -244,24 +303,23 @@ TEST_F(ArchiveTest, ParallelWriteAndReadMatchSerial) {
   auto prog = workloads::build_metatrace();
   workloads::ExperimentConfig cfg;
   const auto data = workloads::run_experiment(topo, prog, cfg);
-  const auto layout_s =
-      FileSystemLayout::per_metahost(base_ + "/serial", topo.num_metahosts());
-  const auto layout_p = FileSystemLayout::per_metahost(
-      base_ + "/parallel", topo.num_metahosts());
-  const auto arch_s = ExperimentArchive::create(topo, layout_s, "w");
-  const auto arch_p = ExperimentArchive::create(topo, layout_p, "w");
-  arch_s.write_traces(topo, data.traces, 1);
-  arch_p.write_traces(topo, data.traces, 8);
-  // Byte-identical files regardless of worker count.
-  for (Rank r = 0; r < topo.num_ranks(); ++r) {
-    const std::string rel =
-        "/w.msc/" + tracing::trace_filename(r);
-    EXPECT_EQ(read_file_bytes(layout_s.root_of(topo.metahost_of(r)) + rel),
-              read_file_bytes(layout_p.root_of(topo.metahost_of(r)) + rel))
-        << "rank " << r;
+  std::vector<ExperimentArchive> archs;
+  for (const std::size_t workers : {1, 2, 8}) {
+    const auto layout = FileSystemLayout::per_metahost(
+        base_ + "/w" + std::to_string(workers), topo.num_metahosts());
+    archs.push_back(ExperimentArchive::create(topo, layout, "w"));
+    archs.back().write_traces(topo, data.traces, workers);
+  }
+  // Byte-identical containers regardless of worker count.
+  for (int m = 0; m < topo.num_metahosts(); ++m) {
+    const auto serial = read_file_bytes(archs[0].container_path(MetahostId{m}));
+    for (std::size_t i = 1; i < archs.size(); ++i)
+      EXPECT_EQ(serial,
+                read_file_bytes(archs[i].container_path(MetahostId{m})))
+          << "metahost " << m << ", archive " << i;
   }
   // And the parallel read reassembles the same collection.
-  const auto loaded = arch_p.read_traces(8);
+  const auto loaded = archs.back().read_traces(8);
   for (int r = 0; r < loaded.num_ranks(); ++r)
     EXPECT_EQ(loaded.ranks[static_cast<std::size_t>(r)],
               data.traces.ranks[static_cast<std::size_t>(r)]);
@@ -305,11 +363,10 @@ TEST_F(ArchiveTest, TruncatedTraceFileFailsWithClearError) {
       FileSystemLayout::per_metahost(base_, topo.num_metahosts());
   const auto arch = ExperimentArchive::create(topo, layout, "cut");
   arch.write_traces(topo, data.traces);
-  const std::string victim = layout.root_of(topo.metahost_of(4)) +
-                             "/cut.msc/" + tracing::trace_filename(4);
-  auto bytes = read_file_bytes(victim);
+  const std::string victim = arch.container_path(topo.metahost_of(4));
+  auto bytes = container_edit::read_block(victim, 4);
   bytes.resize(bytes.size() / 2);
-  write_file_bytes(victim, bytes);
+  container_edit::write_block(victim, 4, bytes);
   try {
     (void)arch.read_traces();
     FAIL() << "expected Error";

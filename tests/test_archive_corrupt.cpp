@@ -3,7 +3,10 @@
 // ErrorCode the taxonomy promises in strict mode and against the
 // quarantine-and-proceed contract in permissive mode (including
 // serial == parallel determinism of the recovered collection and its
-// severity cube).
+// severity cube). Per-rank rows damage one rank's block inside its
+// metahost's container (tests/container_edit.hpp rewrites the index to
+// match) and quarantine only that rank; container rows damage the
+// header or index and quarantine every rank of the container.
 #include "archive/archive.hpp"
 
 #include <gtest/gtest.h>
@@ -17,6 +20,8 @@
 #include "common/binary_io.hpp"
 #include "common/error.hpp"
 #include "simnet/topology.hpp"
+#include "container_edit.hpp"
+#include "tracing/container.hpp"
 #include "tracing/epilog_io.hpp"
 #include "workloads/experiment.hpp"
 #include "workloads/metatrace.hpp"
@@ -25,6 +30,7 @@ namespace metascope::archive {
 namespace {
 
 namespace fs = std::filesystem;
+using namespace container_edit;
 
 class ArchiveCorruptTest : public ::testing::Test {
  protected:
@@ -75,9 +81,10 @@ class ArchiveCorruptTest : public ::testing::Test {
   }
   void TearDown() override { fs::remove_all(base_); }
 
-  [[nodiscard]] std::string trace_path(Rank r) const {
+  /// The container holding rank r's block.
+  [[nodiscard]] std::string container_of(Rank r) const {
     return layout_.root_of(topo_.metahost_of(r)) + "/exp.msc/" +
-           tracing::trace_filename(r);
+           tracing::container_filename(topo_.metahost_of(r).get());
   }
   [[nodiscard]] std::string defs_path(int metahost) const {
     return layout_.root_of(MetahostId{metahost}) + "/exp.msc/" +
@@ -85,7 +92,8 @@ class ArchiveCorruptTest : public ::testing::Test {
   }
 
   /// Strict read, asserting it fails with the exact code (and, when
-  /// rank >= 0, that the error context names the file and rank).
+  /// rank >= 0, that the error context names the container and rank,
+  /// and that a decode failure's offset lies inside the rank's block).
   void expect_strict_failure(ErrorCode code, Rank rank,
                              const std::string& label) {
     try {
@@ -95,8 +103,58 @@ class ArchiveCorruptTest : public ::testing::Test {
       EXPECT_EQ(e.code(), code) << label << ": " << e.what();
       if (rank >= 0) {
         EXPECT_EQ(e.context().rank, rank) << label << ": " << e.what();
-        EXPECT_EQ(e.context().path, trace_path(rank))
+        EXPECT_EQ(e.context().path, container_of(rank))
             << label << ": " << e.what();
+        if (code != ErrorCode::Io) {
+          const auto begin = block_offset(container_of(rank), rank);
+          const auto len = read_block(container_of(rank), rank).size();
+          EXPECT_GE(e.context().byte_offset, static_cast<std::int64_t>(begin))
+              << label << ": " << e.what();
+          EXPECT_LE(e.context().byte_offset,
+                    static_cast<std::int64_t>(begin + len))
+              << label << ": " << e.what();
+        }
+      }
+    }
+  }
+
+  /// A container-level failure: strict reads and stream opens fail with
+  /// `code` naming the container, `rank` and `offset`; permissive ones
+  /// quarantine every rank of the container with that code.
+  void expect_container_failure(int metahost, ErrorCode code, Rank rank,
+                                std::int64_t offset,
+                                const std::string& label) {
+    const std::string path = container_of(topo_.ranks_on(MetahostId{metahost})
+                                              .front());
+    for (const bool stream : {false, true}) {
+      const std::string what = label + (stream ? " (stream)" : " (read)");
+      try {
+        if (stream)
+          (void)arch_.stream_source(ReadOptions{});
+        else
+          (void)arch_.read_traces();
+        FAIL() << what << ": expected Error";
+      } catch (const Error& e) {
+        EXPECT_EQ(e.code(), code) << what << ": " << e.what();
+        EXPECT_EQ(e.context().path, path) << what << ": " << e.what();
+        EXPECT_EQ(e.context().rank, rank) << what << ": " << e.what();
+        EXPECT_EQ(e.context().byte_offset, offset)
+            << what << ": " << e.what();
+      }
+      ReadOptions opts;
+      opts.permissive = true;
+      ReadReport report;
+      if (stream)
+        (void)arch_.stream_source(opts, &report);
+      else
+        (void)arch_.read_traces(opts, &report);
+      std::vector<Rank> want;
+      for (const Rank r : topo_.ranks_on(MetahostId{metahost}))
+        want.push_back(r);
+      EXPECT_EQ(report.quarantined_ranks(), want) << what;
+      for (const auto& q : report.quarantined) {
+        EXPECT_EQ(q.code, code) << what << ": rank " << q.rank;
+        EXPECT_EQ(q.path, path) << what << ": rank " << q.rank;
       }
     }
   }
@@ -110,7 +168,7 @@ class ArchiveCorruptTest : public ::testing::Test {
 
 TEST_F(ArchiveCorruptTest, TruncationAtEverySectionBoundary) {
   const Rank victim = 1;
-  const auto intact = read_file_bytes(trace_path(victim));
+  const auto intact = read_block(container_of(victim), victim);
   ASSERT_GT(intact.size(), 16u);
   struct Cut {
     const char* label;
@@ -127,11 +185,10 @@ TEST_F(ArchiveCorruptTest, TruncationAtEverySectionBoundary) {
       {"all but the last byte", intact.size() - 1},
   };
   for (const auto& cut : cuts) {
-    write_file_bytes(
-        trace_path(victim),
-        std::vector<std::uint8_t>(
-            intact.begin(),
-            intact.begin() + static_cast<std::ptrdiff_t>(cut.keep)));
+    write_block(container_of(victim), victim,
+                std::vector<std::uint8_t>(
+                    intact.begin(),
+                    intact.begin() + static_cast<std::ptrdiff_t>(cut.keep)));
     expect_strict_failure(ErrorCode::Truncated, victim, cut.label);
   }
 }
@@ -139,9 +196,9 @@ TEST_F(ArchiveCorruptTest, TruncationAtEverySectionBoundary) {
 TEST_F(ArchiveCorruptTest, FlippedMagicIsCorrupt) {
   const Rank victim = 2;
   for (std::size_t byte = 0; byte < 4; ++byte) {
-    auto bytes = read_file_bytes(trace_path(victim));
+    auto bytes = read_block(container_of(victim), victim);
     bytes[byte] ^= 0x40;
-    write_file_bytes(trace_path(victim), bytes);
+    write_block(container_of(victim), victim, bytes);
     expect_strict_failure(ErrorCode::Corrupt, victim,
                           "magic byte " + std::to_string(byte));
   }
@@ -149,9 +206,9 @@ TEST_F(ArchiveCorruptTest, FlippedMagicIsCorrupt) {
 
 TEST_F(ArchiveCorruptTest, FutureVersionIsVersionMismatch) {
   const Rank victim = 0;
-  auto bytes = read_file_bytes(trace_path(victim));
+  auto bytes = read_block(container_of(victim), victim);
   bytes[4] = 99;  // header version field (u32 LE at offset 4)
-  write_file_bytes(trace_path(victim), bytes);
+  write_block(container_of(victim), victim, bytes);
   try {
     (void)arch_.read_traces();
     FAIL() << "expected VersionMismatch";
@@ -213,7 +270,7 @@ TEST_F(ArchiveCorruptTest, OversizedCountIsLimitExceeded) {
   w.put_u32(tracing::kTraceFormatVersion);
   w.put_svarint(victim);
   w.put_varint(1ULL << 30);  // sync-record count far past the cap
-  write_file_bytes(trace_path(victim), w.data());
+  write_block(container_of(victim), victim, w.data());
   expect_strict_failure(ErrorCode::LimitExceeded, victim, "huge sync count");
 }
 
@@ -227,7 +284,7 @@ TEST_F(ArchiveCorruptTest, CountLargerThanPayloadIsTruncated) {
   w.put_svarint(victim);
   w.put_varint(0);     // no sync records
   w.put_varint(1000);  // ...but 1000 promised events and no payload
-  write_file_bytes(trace_path(victim), w.data());
+  write_block(container_of(victim), victim, w.data());
   try {
     (void)arch_.read_traces();
     FAIL() << "expected Truncated";
@@ -250,7 +307,7 @@ TEST_F(ArchiveCorruptTest, UnknownEventTypeIsCorruptRowWise) {
   w.put_varint(1);
   w.put_u8(200);  // no such EventType
   w.put_f64(1.0);
-  write_file_bytes(trace_path(victim), w.data());
+  write_block(container_of(victim), victim, w.data());
   expect_strict_failure(ErrorCode::Corrupt, victim, "unknown event type");
 }
 
@@ -268,7 +325,7 @@ TEST_F(ArchiveCorruptTest, UnknownEventTypeIsCorruptColumnar) {
   const std::size_t type_stream = 8 + 1 + 1 + 1 + 5;
   bytes[type_stream] = static_cast<std::uint8_t>(
       (bytes[type_stream] & 0xF0) | 0x0F);
-  write_file_bytes(trace_path(victim), bytes);
+  write_block(container_of(victim), victim, bytes);
   expect_strict_failure(ErrorCode::Corrupt, victim,
                         "unknown event type 15 in type stream");
 }
@@ -278,7 +335,7 @@ TEST_F(ArchiveCorruptTest, ZeroLengthTraceFileTruncatedStrictQuarantinedPermissi
   // created): strict mode reports Truncated, permissive mode
   // quarantines the rank — on both the mmap and the copy read path.
   const Rank victim = 1;
-  write_file_bytes(trace_path(victim), {});
+  write_block(container_of(victim), victim, {});
   for (const bool use_mmap : {true, false}) {
     ReadOptions strict;
     strict.use_mmap = use_mmap;
@@ -323,9 +380,9 @@ TEST_F(ArchiveCorruptTest, MmapPermissiveQuarantinesMidDecodeFailure) {
   // quarantine it and produce the same recovered collection as the copy
   // path.
   const Rank victim = 2;
-  auto bytes = read_file_bytes(trace_path(victim));
+  auto bytes = read_block(container_of(victim), victim);
   bytes.resize(bytes.size() - bytes.size() / 4);
-  write_file_bytes(trace_path(victim), bytes);
+  write_block(container_of(victim), victim, bytes);
 
   tracing::TraceCollection recovered[2];
   for (const bool use_mmap : {true, false}) {
@@ -347,8 +404,8 @@ TEST_F(ArchiveCorruptTest, MmapPermissiveQuarantinesMidDecodeFailure) {
 
 TEST_F(ArchiveCorruptTest, MissingTraceFileIsIoError) {
   const Rank victim = 1;
-  fs::remove(trace_path(victim));
-  expect_strict_failure(ErrorCode::Io, victim, "deleted trace file");
+  drop_block(container_of(victim), victim);
+  expect_strict_failure(ErrorCode::Io, victim, "trace block dropped from the index");
 }
 
 TEST_F(ArchiveCorruptTest, EmptyArchiveDirIsIoError) {
@@ -367,13 +424,13 @@ TEST_F(ArchiveCorruptTest, PermissiveQuarantinesAndProceeds) {
   // Three victims, three damage classes: truncation, bad magic, missing
   // file. Permissive mode must quarantine exactly those ranks with the
   // matching codes (sorted by rank) and hand back decodable survivors.
-  auto t1 = read_file_bytes(trace_path(1));
+  auto t1 = read_block(container_of(1), 1);
   t1.resize(t1.size() / 2);
-  write_file_bytes(trace_path(1), t1);
-  auto t2 = read_file_bytes(trace_path(2));
+  write_block(container_of(1), 1, t1);
+  auto t2 = read_block(container_of(2), 2);
   t2[0] ^= 0xFF;
-  write_file_bytes(trace_path(2), t2);
-  fs::remove(trace_path(3));
+  write_block(container_of(2), 2, t2);
+  drop_block(container_of(3), 3);
 
   ReadOptions opts;
   opts.permissive = true;
@@ -404,9 +461,9 @@ TEST_F(ArchiveCorruptTest, PermissiveQuarantinesAndProceeds) {
 }
 
 TEST_F(ArchiveCorruptTest, PermissiveRecoveryIsDeterministicAndAnalyzable) {
-  auto bytes = read_file_bytes(trace_path(2));
+  auto bytes = read_block(container_of(2), 2);
   bytes.resize(bytes.size() / 3);
-  write_file_bytes(trace_path(2), bytes);
+  write_block(container_of(2), 2, bytes);
 
   ReadOptions serial;
   serial.permissive = true;
@@ -451,6 +508,153 @@ TEST_F(ArchiveCorruptTest, StrictAndPermissiveAgreeOnCleanArchives) {
   for (int r = 0; r < strict.num_ranks(); ++r)
     EXPECT_EQ(permissive.ranks[static_cast<std::size_t>(r)],
               strict.ranks[static_cast<std::size_t>(r)]);
+}
+
+// --- container header and index ----------------------------------------
+//
+// Metahost 1's container holds ranks 2 and 3: a 16-byte header, index
+// entries at bytes 16 and 36, then the two blocks.
+
+TEST_F(ArchiveCorruptTest, TruncatedContainerHeaderQuarantinesContainer) {
+  const std::string path = container_of(2);
+  const auto intact = read_file_bytes(path);
+  struct Cut {
+    std::size_t keep;
+    std::int64_t offset;  // where the first short read starts
+  };
+  for (const Cut cut : {Cut{0, 0}, Cut{3, 0}, Cut{10, 8}, Cut{15, 12}}) {
+    write_file_bytes(path, std::vector<std::uint8_t>(
+                               intact.begin(),
+                               intact.begin() +
+                                   static_cast<std::ptrdiff_t>(cut.keep)));
+    expect_container_failure(1, ErrorCode::Truncated, 2, cut.offset,
+                             "header cut to " + std::to_string(cut.keep));
+  }
+}
+
+TEST_F(ArchiveCorruptTest, IndexRunningPastEofIsTruncated) {
+  const std::string path = container_of(2);
+  const auto intact = read_file_bytes(path);
+  // The rank count promises an index far longer than the file.
+  auto bytes = intact;
+  store(bytes, 12, 4, 1u << 20);
+  write_file_bytes(path, bytes);
+  expect_container_failure(1, ErrorCode::Truncated, 2, kHeader,
+                           "index past EOF");
+  // The index fits, but the last block it lists runs past the end.
+  bytes = intact;
+  bytes.resize(bytes.size() - 1);
+  write_file_bytes(path, bytes);
+  expect_container_failure(1, ErrorCode::Truncated, 3,
+                           static_cast<std::int64_t>(length_field(1)),
+                           "last block past EOF");
+}
+
+TEST_F(ArchiveCorruptTest, OverlappingBlocksAreCorrupt) {
+  const std::string path = container_of(2);
+  auto bytes = read_file_bytes(path);
+  store(bytes, offset_field(1), 8, load(bytes, offset_field(1), 8) - 1);
+  write_file_bytes(path, bytes);
+  expect_container_failure(1, ErrorCode::Corrupt, 3,
+                           static_cast<std::int64_t>(offset_field(1)),
+                           "rank 3 overlaps rank 2");
+}
+
+TEST_F(ArchiveCorruptTest, DuplicateRankInIndexIsCorrupt) {
+  const std::string path = container_of(2);
+  auto bytes = read_file_bytes(path);
+  store(bytes, rank_field(1), 4, 2);
+  write_file_bytes(path, bytes);
+  expect_container_failure(1, ErrorCode::Corrupt, 2,
+                           static_cast<std::int64_t>(rank_field(1)),
+                           "rank 2 listed twice");
+}
+
+TEST_F(ArchiveCorruptTest, RankMissingFromManifestIsCorrupt) {
+  // Rank 1 lives on metahost 0; metahost 1's container must not hold it.
+  const std::string path = container_of(2);
+  auto bytes = read_file_bytes(path);
+  store(bytes, rank_field(0), 4, 1);
+  write_file_bytes(path, bytes);
+  expect_container_failure(1, ErrorCode::Corrupt, 1,
+                           static_cast<std::int64_t>(rank_field(0)),
+                           "foreign rank 1");
+}
+
+TEST_F(ArchiveCorruptTest, ZeroLengthBlockQuarantinesOnlyItsRank) {
+  // A zero-length block is a valid index entry whose trace is empty
+  // bytes: the rank fails to decode (Truncated, at the block's offset),
+  // its container neighbour survives.
+  const std::string path = container_of(3);
+  write_block(path, 3, {});
+  const auto bytes = read_file_bytes(path);
+  ASSERT_EQ(load(bytes, length_field(1), 8), 0u);
+  const auto at = static_cast<std::int64_t>(load(bytes, offset_field(1), 8));
+  for (const bool stream : {false, true}) {
+    try {
+      if (stream)
+        (void)arch_.stream_source(ReadOptions{});
+      else
+        (void)arch_.read_traces();
+      FAIL() << "expected Truncated (stream=" << stream << ")";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::Truncated) << e.what();
+      EXPECT_EQ(e.context().path, path);
+      EXPECT_EQ(e.context().rank, 3);
+      EXPECT_EQ(e.context().byte_offset, at);
+    }
+    ReadOptions opts;
+    opts.permissive = true;
+    ReadReport report;
+    if (stream)
+      (void)arch_.stream_source(opts, &report);
+    else
+      (void)arch_.read_traces(opts, &report);
+    ASSERT_EQ(report.quarantined.size(), 1u) << "stream=" << stream;
+    EXPECT_EQ(report.quarantined[0].rank, 3);
+    EXPECT_EQ(report.quarantined[0].code, ErrorCode::Truncated);
+    EXPECT_EQ(report.quarantined[0].path, path);
+  }
+}
+
+TEST_F(ArchiveCorruptTest, ContainerOfAnotherMetahostIsCorrupt) {
+  // Metahost 1's container copied over metahost 0's: its header names
+  // the wrong metahost (the field ends at byte 12).
+  write_file_bytes(container_of(0), read_file_bytes(container_of(2)));
+  expect_container_failure(0, ErrorCode::Corrupt, 0, 12, "misplaced");
+}
+
+TEST_F(ArchiveCorruptTest, DefsDeclaringFewerRanksThanManifestsIsCorrupt) {
+  // Every defs replica claims three ranks; metahost 1's manifest lists
+  // rank 3, which then has no slot to be read into.
+  auto short_tc = data_.traces;
+  short_tc.ranks.pop_back();
+  short_tc.defs.locations.pop_back();
+  const auto defs = tracing::encode_defs(short_tc);
+  for (int m = 0; m < topo_.num_metahosts(); ++m)
+    write_file_bytes(defs_path(m), defs);
+  for (const bool permissive : {false, true}) {
+    ReadOptions opts;
+    opts.permissive = permissive;
+    for (const bool stream : {false, true}) {
+      try {
+        if (stream)
+          (void)arch_.stream_source(opts);
+        else
+          (void)arch_.read_traces(opts);
+        FAIL() << "expected Corrupt (stream=" << stream << ")";
+      } catch (const Error& e) {
+        EXPECT_EQ(e.code(), ErrorCode::Corrupt) << e.what();
+        EXPECT_EQ(e.context().rank, 3) << e.what();
+        EXPECT_EQ(e.context().path, container_of(3)) << e.what();
+      }
+    }
+  }
+}
+
+TEST_F(ArchiveCorruptTest, MissingContainerQuarantinesItsRanks) {
+  fs::remove(container_of(0));
+  expect_container_failure(0, ErrorCode::Io, 0, -1, "deleted container");
 }
 
 }  // namespace

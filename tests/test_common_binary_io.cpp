@@ -244,6 +244,49 @@ TEST(MappedFile, MissingFileThrowsIoWithPath) {
   }
 }
 
+TEST(MappedFile, RangeViewsMatchTheFileBytes) {
+  // Ranges inside a multi-page file — from its start, across a page
+  // boundary, to its end, and empty — read the same bytes mapped and
+  // copied; a range past the end is Truncated at the file size.
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "msc_mmap_range.bin")
+          .string();
+  std::vector<std::uint8_t> bytes(3 * 4096 + 123);
+  for (std::size_t i = 0; i < bytes.size(); ++i)
+    bytes[i] = static_cast<std::uint8_t>(i * 13 + 5);
+  write_file_bytes(path, bytes);
+  struct Range {
+    std::uint64_t offset, length;
+  };
+  for (const Range r : {Range{0, 10}, Range{4090, 20}, Range{5000, 7411},
+                        Range{bytes.size(), 0}}) {
+    for (const bool allow_mmap : {true, false}) {
+      const MappedFile f = MappedFile::open(path, r.offset, r.length,
+                                            allow_mmap);
+      ASSERT_EQ(f.size(), r.length);
+      EXPECT_EQ(std::vector<std::uint8_t>(f.data(), f.data() + f.size()),
+                std::vector<std::uint8_t>(
+                    bytes.begin() + static_cast<std::ptrdiff_t>(r.offset),
+                    bytes.begin() +
+                        static_cast<std::ptrdiff_t>(r.offset + r.length)))
+          << "offset " << r.offset << " mmap " << allow_mmap;
+    }
+  }
+  for (const Range r : {Range{bytes.size() - 5, 6}, Range{bytes.size() + 1, 0},
+                        Range{1, ~std::uint64_t{0} - 1}}) {
+    try {
+      (void)MappedFile::open(path, r.offset, r.length);
+      FAIL() << "expected Truncated for offset " << r.offset;
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::Truncated) << e.what();
+      EXPECT_EQ(e.context().path, path);
+      EXPECT_EQ(e.context().byte_offset,
+                static_cast<std::int64_t>(bytes.size()));
+    }
+  }
+  std::filesystem::remove(path);
+}
+
 TEST(MappedFile, MoveTransfersTheView) {
   const std::string path =
       (std::filesystem::temp_directory_path() / "msc_mmap_move.bin").string();

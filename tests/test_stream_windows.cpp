@@ -19,7 +19,9 @@
 #include "common/error.hpp"
 #include "simmpi/program.hpp"
 #include "simnet/topology.hpp"
+#include "container_edit.hpp"
 #include "telemetry/metrics.hpp"
+#include "tracing/container.hpp"
 #include "tracing/epilog_io.hpp"
 #include "workloads/experiment.hpp"
 #include "workloads/metatrace.hpp"
@@ -68,8 +70,9 @@ class StreamWindowTest : public ::testing::Test {
     return arch;
   }
 
-  [[nodiscard]] std::string trace_path(Rank r) const {
-    return base_ + "/exp.msc/" + tracing::trace_filename(r);
+  /// The one container of the single-metahost topologies used here.
+  [[nodiscard]] std::string container_path() const {
+    return base_ + "/exp.msc/" + tracing::container_filename(0);
   }
 
   std::string base_;
@@ -87,7 +90,7 @@ tracing::TraceCollection run_none(const simnet::Topology& topo,
 
 // --- zero-event ranks ----------------------------------------------------
 
-/// Three ranks, the middle one recorded nothing at all (its trace file
+/// Three ranks, the middle one recorded nothing at all (its trace block
 /// is a valid v3 encoding with zero events); the outer two exchange one
 /// message. Hand-built so the empty trace is genuinely empty (no
 /// measurement scaffolding events).
@@ -256,9 +259,9 @@ TEST_F(StreamWindowTest, PermissiveStreamingMatchesPermissiveMaterialized) {
   const auto arch = write_archive(topo, tc);
 
   // Damage rank 2 mid-payload: open-time validation quarantines it.
-  auto bytes = read_file_bytes(trace_path(2));
+  auto bytes = container_edit::read_block(container_path(), 2);
   bytes.resize(bytes.size() - bytes.size() / 4);
-  write_file_bytes(trace_path(2), bytes);
+  container_edit::write_block(container_path(), 2, bytes);
 
   archive::ReadOptions popts;
   popts.permissive = true;
@@ -338,10 +341,15 @@ TEST_F(StreamWindowTest, TruncatedMidBlockStreamingMatchesBatchErrorCode) {
   const auto tc = run_none(topo, lopsided_program(40));
   const auto arch = write_archive(topo, tc);
 
-  auto bytes = read_file_bytes(trace_path(1));
+  auto bytes = container_edit::read_block(container_path(), 1);
   bytes.resize(bytes.size() - bytes.size() / 3);  // cut inside the columns
-  write_file_bytes(trace_path(1), bytes);
+  container_edit::write_block(container_path(), 1, bytes);
 
+  // Both readers name the container and an absolute offset inside the
+  // damaged block.
+  const auto begin = static_cast<std::int64_t>(
+      container_edit::block_offset(container_path(), 1));
+  const auto end = begin + static_cast<std::int64_t>(bytes.size());
   ErrorCode batch_code = ErrorCode::None;
   Rank batch_rank = kNoRank;
   try {
@@ -350,6 +358,9 @@ TEST_F(StreamWindowTest, TruncatedMidBlockStreamingMatchesBatchErrorCode) {
   } catch (const Error& e) {
     batch_code = e.code();
     batch_rank = e.context().rank;
+    EXPECT_EQ(e.context().path, container_path()) << e.what();
+    EXPECT_GE(e.context().byte_offset, begin) << e.what();
+    EXPECT_LE(e.context().byte_offset, end) << e.what();
   }
   try {
     const auto src = arch.stream_source(archive::ReadOptions{});
@@ -358,6 +369,9 @@ TEST_F(StreamWindowTest, TruncatedMidBlockStreamingMatchesBatchErrorCode) {
   } catch (const Error& e) {
     EXPECT_EQ(e.code(), batch_code) << e.what();
     EXPECT_EQ(e.context().rank, batch_rank) << e.what();
+    EXPECT_EQ(e.context().path, container_path()) << e.what();
+    EXPECT_GE(e.context().byte_offset, begin) << e.what();
+    EXPECT_LE(e.context().byte_offset, end) << e.what();
   }
 }
 
@@ -365,7 +379,7 @@ TEST_F(StreamWindowTest, ZeroByteFileQuarantinedPermissivelyLikeBatch) {
   const auto topo = local_topo(3);
   const auto tc = run_none(topo, lopsided_program(10));
   const auto arch = write_archive(topo, tc);
-  write_file_bytes(trace_path(0), {});
+  container_edit::write_block(container_path(), 0, {});
 
   EXPECT_THROW((void)arch.stream_source(archive::ReadOptions{}), Error);
 

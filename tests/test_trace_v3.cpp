@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "analysis/analyzer.hpp"
+#include "archive/archive.hpp"
 #include "common/binary_io.hpp"
 #include "common/column_codec.hpp"
 #include "common/error.hpp"
@@ -482,16 +483,24 @@ TEST(TraceV3Migration, V2ArchiveRewrittenAsV3MatchesGoldenCube) {
   const TraceCollection original = wait_barrier_traces();
 
   const auto base = fs::temp_directory_path() / "msc_v3_migration";
-  const auto v2_dir = base / "v2";
-  const auto v3_dir = base / "v3";
   fs::remove_all(base);
-  fs::create_directories(v2_dir);
-  fs::create_directories(v3_dir);
-
-  tracing::write_collection(v2_dir.string(), original, 2);
-  const TraceCollection from_v2 = tracing::read_collection(v2_dir.string());
-  tracing::write_collection(v3_dir.string(), from_v2, 3);
-  const TraceCollection from_v3 = tracing::read_collection(v3_dir.string());
+  const auto topo = local_topo(4);
+  // Writes `tc` as a version-`version` archive under base/<name> and
+  // reads it back.
+  auto round_trip = [&](const std::string& name, const TraceCollection& tc,
+                        std::uint32_t version) {
+    const auto arch = archive::ExperimentArchive::create(
+        topo,
+        archive::FileSystemLayout::shared((base / name).string(),
+                                          topo.num_metahosts()),
+        "mig");
+    archive::WriteOptions wopts;
+    wopts.format_version = version;
+    arch.write_traces(topo, tc, wopts);
+    return arch.read_traces();
+  };
+  const TraceCollection from_v2 = round_trip("v2", original, 2);
+  const TraceCollection from_v3 = round_trip("v3", from_v2, 3);
   fs::remove_all(base);
 
   // Bit-identical traces through both generations.

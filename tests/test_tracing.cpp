@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "archive/archive.hpp"
 #include "common/error.hpp"
 #include "simnet/presets.hpp"
 #include "tracing/epilog_io.hpp"
@@ -234,9 +235,13 @@ TEST_F(MeasurementTest, OffsetMeasurementsApproximateTrueOffset) {
 TEST_F(MeasurementTest, CollectionRoundTripsThroughFiles) {
   const auto data = run(SyncScheme::HierarchicalTwo);
   const auto dir = std::filesystem::temp_directory_path() / "msc_trace_rt";
-  std::filesystem::create_directories(dir);
-  write_collection(dir.string(), data.traces);
-  const TraceCollection loaded = read_collection(dir.string());
+  std::filesystem::remove_all(dir);
+  const auto arch = archive::ExperimentArchive::create(
+      topo_, archive::FileSystemLayout::shared(dir.string(),
+                                               topo_.num_metahosts()),
+      "rt");
+  arch.write_traces(topo_, data.traces);
+  const TraceCollection loaded = arch.read_traces();
   EXPECT_EQ(loaded.scheme, data.traces.scheme);
   EXPECT_EQ(loaded.synchronized, data.traces.synchronized);
   EXPECT_EQ(loaded.defs.regions.all(), data.traces.defs.regions.all());

@@ -3,8 +3,9 @@
 // Usage: make_fuzz_corpus <outdir>
 //
 // Runs a miniature two-metahost experiment, encodes its real defs and
-// per-rank trace files — current (v3 columnar) format by default, plus
-// one rank in each legacy row-wise format — and writes them together
+// per-rank traces — current (v3 columnar) format by default, plus one
+// rank in each legacy row-wise format, plus a rank-block container of
+// all four ranks and its malformed-index mutants — and writes them together
 // with structured mutants (truncations, bad magic, future version, and
 // v3-specific corners: bad type nibbles, count mismatches, broken
 // column frames, bad XOR lead bytes / scale indices / residual widths)
@@ -27,6 +28,7 @@
 #include "common/binary_io.hpp"
 #include "common/error.hpp"
 #include "common/json.hpp"
+#include "tracing/container.hpp"
 #include "tracing/epilog_io.hpp"
 #include "workloads/config.hpp"
 #include "workloads/experiment.hpp"
@@ -220,6 +222,59 @@ void put_midblock_mutants(const fs::path& dir) {
   put(dir, "v3_multiwindow", bytes);
 }
 
+/// Rank-block containers (tracing/container.hpp) holding the seed
+/// experiment's four ranks: a clean one, then one mutant per check of
+/// the index decoder. fuzz_trace_decode decodes them against the
+/// manifest {0, 1, 2, 3}. Index entry i sits at byte 16 + 20 i: rank
+/// u32, offset u64 at +4, length u64 at +12.
+void put_containers(const fs::path& dir, const tracing::TraceCollection& tc) {
+  std::vector<Rank> ranks;
+  std::vector<std::vector<std::uint8_t>> blocks;
+  for (const auto& t : tc.ranks) {
+    ranks.push_back(t.rank);
+    blocks.push_back(tracing::encode_local_trace(t));
+  }
+  const auto encode = [&](const std::vector<std::vector<std::uint8_t>>& bs) {
+    const std::string path = (dir / "container_tmp").string();
+    tracing::ContainerWriter w(path, 0, ranks);
+    for (std::size_t i = 0; i < ranks.size(); ++i) w.put(ranks[i], bs[i]);
+    w.finish();
+    auto bytes = read_file_bytes(path);
+    fs::remove(path);
+    return bytes;
+  };
+  const auto store = [](std::vector<std::uint8_t>& b, std::size_t at,
+                        int width, std::uint64_t v) {
+    for (int i = 0; i < width; ++i)
+      b[at + static_cast<std::size_t>(i)] =
+          static_cast<std::uint8_t>(v >> (8 * i));
+  };
+  const auto clean = encode(blocks);
+  put(dir, "container", clean);
+
+  put(dir, "container_trunc_header",
+      std::vector<std::uint8_t>(clean.begin(), clean.begin() + 10));
+  auto past_eof = clean;
+  store(past_eof, 12, 4, 1u << 20);  // index far longer than the file
+  put(dir, "container_index_past_eof", past_eof);
+  put(dir, "container_block_past_eof",
+      std::vector<std::uint8_t>(clean.begin(), clean.end() - 1));
+  auto overlap = clean;
+  std::uint64_t off1 = 0;
+  for (int i = 7; i >= 0; --i) off1 = (off1 << 8) | overlap[40 + i];
+  store(overlap, 40, 8, off1 - 1);  // entry 1 reaches back into block 0
+  put(dir, "container_overlap", overlap);
+  auto dup = clean;
+  store(dup, 36, 4, 0);  // entry 1 repeats rank 0
+  put(dir, "container_dup_rank", dup);
+  auto foreign = clean;
+  store(foreign, 76, 4, 7);  // last entry names a rank outside {0..3}
+  put(dir, "container_foreign_rank", foreign);
+  auto zero = blocks;
+  zero[1].clear();
+  put(dir, "container_zero_length", encode(zero));
+}
+
 /// Seeds for fuzz_trace_decode's analyzer stage, which replays a
 /// decoded trace as rank 0 of a one-rank collection with four regions
 /// and one communicator: one trace that replays clean (a message to
@@ -293,6 +348,7 @@ int main(int argc, char** argv) {
         put(trace_dir, stem + "_v2", tracing::encode_local_trace(t, 2));
       }
     }
+    put_containers(trace_dir, data.traces);
     put_v3_mutants(trace_dir);
     put_midblock_mutants(trace_dir);
     put_analyzer_seeds(trace_dir);
