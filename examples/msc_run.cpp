@@ -82,6 +82,7 @@
 #include "telemetry/recorder.hpp"
 #include "telemetry/sampler.hpp"
 #include "telemetry/snapshot.hpp"
+#include "telemetry/span.hpp"
 #include "telemetry/trace_export.hpp"
 #include "tracing/epilog_io.hpp"
 #include "workloads/config.hpp"
@@ -316,10 +317,12 @@ int main(int argc, char** argv) {
   }
 
   try {
-    workloads::ExperimentSpec spec =
-        config_path.empty()
-            ? workloads::parse_experiment(Json::parse(kDemoConfig))
-            : workloads::load_experiment(config_path);
+    workloads::ExperimentSpec spec = [&] {
+      telemetry::ScopedSpan span("build_program");
+      return config_path.empty()
+                 ? workloads::parse_experiment(Json::parse(kDemoConfig))
+                 : workloads::load_experiment(config_path);
+    }();
     if (config_path.empty()) {
       std::printf("(no config given — running the built-in demo)\n%s\n\n",
                   kDemoConfig);
@@ -404,8 +407,10 @@ int main(int argc, char** argv) {
 
     if (spec.config.measurement.scheme != tracing::SyncScheme::None) {
       clocksync::synchronize(data.traces);
-      const auto violations =
-          clocksync::check_clock_condition(data.traces);
+      const auto violations = [&] {
+        telemetry::ScopedSpan span("clock_condition");
+        return clocksync::check_clock_condition(data.traces);
+      }();
       std::printf("clock condition after synchronization: %zu/%zu violations\n",
                   violations.violations, violations.messages);
       if (want_amortize && violations.violations > 0) {

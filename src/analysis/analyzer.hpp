@@ -6,13 +6,15 @@
 //    It keeps its own per-event annotation (prepare.hpp), so it stays an
 //    independent oracle for the replay;
 //  - analyze_parallel / analyze_streaming: the SCALASCA-style analyzer —
-//    one replay (stream_analyzer.cpp) that re-enacts the application's
-//    communication, exchanging only the few bytes each pattern needs
-//    instead of whole traces. Each rank's replay is a resumable task on
-//    a bounded worker pool (replay_scheduler.hpp) that touches only its
-//    own local trace, which is why this analyzer works without a shared
-//    file system. The two entry points differ only in where a task's
-//    events come from: an in-memory collection, or a v3 archive.
+//    one replay (stream_analyzer.cpp) that pairs the application's
+//    messages and collective arrivals, exchanging only the few bytes
+//    each pattern needs instead of whole traces. Each rank is scanned
+//    on a bounded worker pool (common/parallel.hpp) from its own local
+//    trace only, which is why this analyzer works without a shared file
+//    system; a second pass joins each receive with its send. No rank
+//    ever waits for another. The two entry points differ only in where
+//    a rank's events come from: an in-memory collection, or a v3
+//    archive.
 //
 // All of them run the same structure walk first (call-path ids,
 // validation) and collect match records that the pattern engine
@@ -37,17 +39,18 @@ namespace metascope::analysis {
 /// Per-analysis summary counters. Since the telemetry refactor these
 /// are *snapshots of the global metrics registry* (src/telemetry): the
 /// live counting happens in registry counters — "analysis.messages",
-/// "analysis.events", "replay.bytes", "replay.suspensions",
-/// "replay.steals", "replay.requeues", … — and this struct captures the
+/// "analysis.events", "replay.bytes", … — and this struct captures the
 /// per-run delta so existing callers keep a plain-value API. With
 /// telemetry disabled (telemetry::set_enabled(false) or
 /// -DMSC_NO_TELEMETRY) the registry-backed fields read zero.
 struct AnalysisStats {
   std::size_t messages{0};
   std::size_t collective_instances{0};
-  /// Bytes moved between analysis workers during the replay (zero for
-  /// analyze_serial). Compare against trace_bytes_in_memory: the paper's
-  /// claim is that this is much smaller than shipping traces around.
+  /// Bytes the replay exchanges between ranks: 24 per Send and per
+  /// collective arrival, what a message-passing replay would ship (zero
+  /// for analyze_serial). Compare against trace_bytes_in_memory: the
+  /// paper's claim is that this is much smaller than shipping traces
+  /// around.
   std::size_t replay_bytes{0};
   /// Resident size of the trace data the analysis held at its peak —
   /// deliberately NOT the encoded on-disk size, which depends on the
@@ -61,18 +64,18 @@ struct AnalysisStats {
   std::size_t trace_bytes_in_memory{0};
   std::size_t events{0};
 
-  // Replay-scheduler counters (zero for analyze_serial).
+  // Replay pool counters (zero for analyze_serial).
   /// Worker threads the pool actually used.
   std::size_t replay_workers{0};
-  /// Rank replay tasks driven to completion (== ranks).
+  /// Ranks replayed (== ranks).
   std::size_t replay_tasks{0};
-  /// Times a task suspended on an unsatisfied Recv / incomplete
-  /// collective instead of blocking a thread.
+  /// Times a rank waited for another during the replay: always 0, since
+  /// the replay pairs events without cross-rank waiting. Kept so reports
+  /// that track it read the true figure.
   std::size_t replay_suspensions{0};
-  /// Tasks taken from another worker's run queue.
+  /// Items of the scan and join passes taken from another worker's
+  /// queue.
   std::size_t replay_steals{0};
-  /// Tasks re-enqueued after a resume.
-  std::size_t replay_requeues{0};
 };
 
 struct AnalysisResult {
@@ -93,17 +96,11 @@ struct ReplayOptions {
   /// The structural category time partition is always on. Throws Error
   /// on an unknown key.
   std::vector<std::string> patterns;
-  /// When the parallel replay deadlocks and the flight recorder is on,
-  /// dump the last N recorded events of every worker thread to stderr
-  /// before throwing. 0 disables the postmortem. Ignored by
-  /// analyze_serial.
-  std::size_t postmortem_events{32};
   /// analyze_streaming only: cap on the decoded trace events resident
   /// across all ranks at once. Drives window *sizing* — each rank's
   /// window holds ~budget/(ranks * per-event footprint) events, floored
-  /// at one event — never cross-rank blocking, so a tiny budget can
-  /// degrade to single-event windows but can never deadlock the
-  /// replay. A window extends past its nominal size only while a
+  /// at one event — so a tiny budget degrades to single-event windows.
+  /// A window extends past its nominal size only while a
   /// Send/Recv inside it still awaits its enclosing call's exit (in
   /// practice a handful of events: messages sit directly inside their
   /// MPI call region). 0 = a generous default window (4096 events per
@@ -117,11 +114,12 @@ struct ReplayOptions {
 AnalysisResult analyze_serial(const tracing::TraceCollection& tc,
                               const ReplayOptions& opts = {});
 
-/// Parallel replay-based pattern search on a bounded worker pool:
-/// message matching re-enacted over lock-striped in-memory channels,
-/// one resumable task per rank, each reading its rank's resident event
-/// vector in place. Produces a cube bit-identical to analyze_serial,
-/// for any worker count.
+/// Parallel replay-based pattern search on a bounded worker pool: each
+/// rank's resident event vector is scanned in place, then every receive
+/// is joined with its send by (channel, ordinal). An unmatched Send or
+/// Recv throws Error with ErrorCode::Corrupt naming the rank and the
+/// channel. Produces a cube bit-identical to analyze_serial, for any
+/// worker count.
 AnalysisResult analyze_parallel(const tracing::TraceCollection& tc,
                                 const ReplayOptions& opts = {});
 

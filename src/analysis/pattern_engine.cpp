@@ -186,12 +186,15 @@ void PatternEngine::dispatch(std::vector<P2pRecord>&& p2p,
   const tracing::TraceDefs& defs = tc_->defs;
 
   // Canonical order, independent of collection order: p2p by (receiver,
-  // receive position), instances by (comm, seq), members by rank.
-  std::sort(p2p.begin(), p2p.end(),
-            [](const P2pRecord& a, const P2pRecord& b) {
-              if (a.recv.rank != b.recv.rank) return a.recv.rank < b.recv.rank;
-              return a.recv_index < b.recv_index;
-            });
+  // receive position), instances by (comm, seq), members by rank. The
+  // replay collects its records in that order already; sorting sorted
+  // records would cost more than evaluating them.
+  const auto canonical = [](const P2pRecord& a, const P2pRecord& b) {
+    if (a.recv.rank != b.recv.rank) return a.recv.rank < b.recv.rank;
+    return a.recv_index < b.recv_index;
+  };
+  if (!std::is_sorted(p2p.begin(), p2p.end(), canonical))
+    std::sort(p2p.begin(), p2p.end(), canonical);
   std::sort(colls.begin(), colls.end(),
             [](const CollInstance& a, const CollInstance& b) {
               if (a.comm != b.comm) return a.comm < b.comm;

@@ -1,8 +1,10 @@
 #include "analysis/prepare.hpp"
 
+#include <algorithm>
 #include <sstream>
 
 #include "common/error.hpp"
+#include "common/parallel.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/progress.hpp"
 #include "telemetry/span.hpp"
@@ -15,40 +17,49 @@ using tracing::EventType;
 // --- StructureWalk --------------------------------------------------------
 
 StructureWalk::StructureWalk(const tracing::TraceDefs& defs,
-                             std::size_t num_ranks, report::CallTree& calls)
+                             std::size_t num_ranks)
     : defs_(&defs),
-      calls_(&calls),
       num_ranks_(num_ranks),
-      coll_counts_(defs.comms.size(), std::vector<int>(num_ranks, 0)) {}
+      coll_counts_(defs.comms.size(), std::vector<int>(num_ranks, 0)),
+      local_(num_ranks) {
+  members_.reserve(defs.comms.size());
+  for (const auto& c : defs.comms) {
+    members_.push_back(c.members);
+    std::sort(members_.back().begin(), members_.back().end());
+  }
+}
 
-void StructureWalk::fail(const std::string& what) const {
+StructureWalk::RankWalk::RankWalk(StructureWalk& walk, Rank rank)
+    : walk_(&walk),
+      rank_(rank),
+      tree_(&walk.local_[static_cast<std::size_t>(rank)]) {}
+
+void StructureWalk::RankWalk::fail(const std::string& what) const {
   std::ostringstream os;
-  os << "malformed trace: rank " << rank_ << " event " << index_ << ": "
-     << what;
+  os << "malformed trace: rank " << rank_ << " event " << totals_.events
+     << ": " << what;
   throw Error(ErrorCode::Corrupt, os.str(), ErrorContext{"", rank_, -1});
 }
 
-void StructureWalk::begin(Rank rank) {
-  rank_ = rank;
-  index_ = 0;
-  ops_ = 0;
-  stack_.clear();
+StructureWalk::RankWalk StructureWalk::begin(Rank rank) {
+  return RankWalk(*this, rank);
 }
 
-CallPathId StructureWalk::step(const tracing::LightEvent& e) {
+void StructureWalk::RankWalk::step(const tracing::LightEvent& e) {
+  const tracing::TraceDefs& defs = *walk_->defs_;
   const auto in_table = [](std::int64_t id, std::size_t size) {
     return id >= 0 && static_cast<std::uint64_t>(id) < size;
   };
-  CallPathId entered;
   switch (e.type) {
     case EventType::Enter: {
-      if (!in_table(e.region, defs_->regions.size()))
+      if (!in_table(e.region, defs.regions.size()))
         fail("unknown region id " + std::to_string(e.region));
       const CallPathId parent =
           stack_.empty() ? CallPathId{} : stack_.back().cnode;
-      entered = calls_->get_or_add(
-          parent, RegionId{static_cast<RegionId::rep_type>(e.region)});
-      stack_.push_back(Open{entered, e.time});
+      stack_.push_back(Open{
+          tree_->get_or_add(
+              parent, RegionId{static_cast<RegionId::rep_type>(e.region)}),
+          e.time});
       break;
     }
     case EventType::Exit:
@@ -58,35 +69,92 @@ CallPathId StructureWalk::step(const tracing::LightEvent& e) {
         fail("negative region duration");
       stack_.pop_back();
       if (e.type == EventType::CollExit) {
-        if (!in_table(e.region, defs_->regions.size()))
+        if (!in_table(e.region, defs.regions.size()))
           fail("unknown region id " + std::to_string(e.region));
-        if (!in_table(e.comm, defs_->comms.size()))
+        if (!in_table(e.comm, defs.comms.size()))
           fail("collective on unknown communicator " +
                std::to_string(e.comm));
-        ++coll_counts_[static_cast<std::size_t>(e.comm)]
-                      [static_cast<std::size_t>(rank_)];
-        ++ops_;
+        const auto c = static_cast<std::size_t>(e.comm);
+        const auto& members = walk_->members_[c];
+        if (!std::binary_search(members.begin(), members.end(), rank_))
+          fail("collective on communicator " + std::to_string(e.comm) +
+               ", which does not list the rank");
+        ++walk_->coll_counts_[c][static_cast<std::size_t>(rank_)];
+        ++totals_.ops;
       }
       break;
     }
     case EventType::Send:
     case EventType::Recv: {
       if (stack_.empty()) fail("message event outside any region");
-      ++ops_;
+      ++(e.type == EventType::Send ? totals_.sends : totals_.recvs);
+      ++totals_.ops;
       break;
     }
   }
-  ++index_;
-  return entered;
+  ++totals_.events;
 }
 
-StructureWalk::RankTotals StructureWalk::end() {
+StructureWalk::RankTotals StructureWalk::RankWalk::end() {
   if (!stack_.empty()) fail("unclosed region");
-  return RankTotals{index_, ops_};
+  return totals_;
 }
 
-void StructureWalk::finish() const {
+std::vector<StructureWalk::RankTotals> StructureWalk::run(
+    std::size_t max_workers, report::CallTree& calls,
+    const std::function<RankTotals(std::size_t, StructureWalk&)>&
+        walk_rank) {
+  std::vector<RankTotals> totals(num_ranks_);
+  parallel_for(num_ranks_, max_workers,
+               [&](std::size_t r) { totals[r] = walk_rank(r, *this); });
+  finish(calls);
+  return totals;
+}
+
+std::vector<StructureWalk::RankTotals> StructureWalk::run(
+    const tracing::TraceCollection& tc, std::size_t max_workers,
+    report::CallTree& calls) {
+  return run(max_workers, calls, [&](std::size_t r, StructureWalk& walk) {
+    const auto& trace = tc.ranks[r];
+    if (trace.rank != static_cast<Rank>(r)) {
+      std::ostringstream os;
+      os << "malformed trace: rank slot " << r << " holds the trace of rank "
+         << trace.rank;
+      throw Error(ErrorCode::Corrupt, os.str());
+    }
+    RankWalk w = walk.begin(trace.rank);
+    for (const Event& e : trace.events)
+      w.step(tracing::LightEvent{e.type, e.time, e.region.get(), e.comm.get(),
+                                 e.peer});
+    return w.end();
+  });
+}
+
+void StructureWalk::finish(report::CallTree& calls) {
+  // Rank order, each rank's paths in its first-appearance order: the
+  // order a serial walk would have created them in.
+  std::vector<CallPathId> global;
+  for (report::CallTree& tree : local_) {
+    global.resize(tree.size());
+    for (std::size_t i = 0; i < tree.size(); ++i) {
+      const report::CallPathNode& n = tree.node(CallPathId{static_cast<int>(i)});
+      global[i] = calls.get_or_add(
+          n.parent.valid() ? global[static_cast<std::size_t>(n.parent.get())]
+                           : CallPathId{},
+          n.region);
+    }
+    tree = report::CallTree();
+  }
   for (std::size_t c = 0; c < defs_->comms.size(); ++c) {
+    // A rank listed twice would leave one of its instance slots empty.
+    const auto& sorted = members_[c];
+    const auto dup = std::adjacent_find(sorted.begin(), sorted.end());
+    if (dup != sorted.end()) {
+      std::ostringstream os;
+      os << "malformed definitions: communicator " << c << " lists rank "
+         << *dup << " twice";
+      throw Error(ErrorCode::Corrupt, os.str(), ErrorContext{"", *dup, -1});
+    }
     const auto& members = defs_->comms[c].members;
     const auto& counts = coll_counts_[c];
     for (const Rank r : members) {
@@ -108,34 +176,14 @@ void StructureWalk::finish() const {
     }
   }
   telemetry::counter("prepare.ranks").add(num_ranks_);
-  telemetry::counter("prepare.call_paths").add(calls_->size());
+  telemetry::counter("prepare.call_paths").add(calls.size());
 }
 
-std::vector<StructureWalk::RankTotals> walk_structure(
-    const tracing::TraceCollection& tc, report::CallTree& calls,
-    std::vector<std::vector<CallPathId>>* enters) {
-  const std::size_t n = tc.ranks.size();
-  StructureWalk walk(tc.defs, n, calls);
-  std::vector<StructureWalk::RankTotals> totals(n);
-  if (enters != nullptr) enters->assign(n, {});
-  for (std::size_t r = 0; r < n; ++r) {
-    const auto& trace = tc.ranks[r];
-    if (trace.rank != static_cast<Rank>(r)) {
-      std::ostringstream os;
-      os << "malformed trace: rank slot " << r << " holds the trace of rank "
-         << trace.rank;
-      throw Error(ErrorCode::Corrupt, os.str());
-    }
-    walk.begin(trace.rank);
-    for (const Event& e : trace.events) {
-      const CallPathId c = walk.step(tracing::LightEvent{
-          e.type, e.time, e.region.get(), e.comm.get(), e.peer});
-      if (enters != nullptr && c.valid()) (*enters)[r].push_back(c);
-    }
-    totals[r] = walk.end();
-  }
-  walk.finish();
-  return totals;
+int StructureWalk::instances(std::size_t c) const {
+  const auto& members = defs_->comms[c].members;
+  return members.empty()
+             ? 0
+             : coll_counts_[c][static_cast<std::size_t>(members.front())];
 }
 
 // --- prepare (analyze_serial) ----------------------------------------------
@@ -146,10 +194,7 @@ PreparedTrace prepare(const tracing::TraceCollection& tc) {
   PreparedTrace out;
   // Pass 1: the structure walk assigns call-path ids and validates, so
   // the annotation pass below runs on validated input and cannot fail.
-  // It records the id of each Enter in order; the annotation pass
-  // replays the stack from that list without touching the call tree.
-  std::vector<std::vector<CallPathId>> enter_cnodes;
-  walk_structure(tc, out.calls, &enter_cnodes);
+  StructureWalk(tc.defs, tc.ranks.size()).run(tc, 1, out.calls);
   out.region_table = RegionClassTable(tc.defs.regions);
   out.per_rank.resize(tc.ranks.size());
   out.excl_time.resize(tc.ranks.size());
@@ -158,7 +203,6 @@ PreparedTrace prepare(const tracing::TraceCollection& tc) {
   // windows, exclusive times.
   for (std::size_t ri = 0; ri < tc.ranks.size(); ++ri) {
     const auto& trace = tc.ranks[ri];
-    const auto& enters = enter_cnodes[ri];
     auto& ann = out.per_rank[ri];
     const std::size_t n = trace.events.size();
     ann.cnode.assign(n, CallPathId{});
@@ -173,14 +217,14 @@ PreparedTrace prepare(const tracing::TraceCollection& tc) {
     };
     std::vector<Frame> stack;
     std::vector<bool> op_filled(n, false);
-    std::size_t next_enter = 0;
     ExclusiveTimes& excl = out.excl_time[ri];
 
     for (std::uint32_t i = 0; i < n; ++i) {
       const Event& e = trace.events[i];
       switch (e.type) {
         case EventType::Enter: {
-          const CallPathId c = enters[next_enter++];
+          const CallPathId c = out.calls.find(
+              stack.empty() ? CallPathId{} : stack.back().cnode, e.region);
           stack.push_back(Frame{c, e.time, 0.0, i + 1});
           ann.cnode[i] = c;
           break;

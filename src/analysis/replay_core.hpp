@@ -3,8 +3,10 @@
 //
 //  - analyze_serial matches messages post-mortem and walks each rank's
 //    annotated events once (make_side, group_collectives below);
-//  - analyze_parallel / analyze_streaming re-enact the communication on
-//    a bounded worker pool and collect the same records from the replay.
+//  - analyze_parallel / analyze_streaming scan every rank on a bounded
+//    worker pool, writing send halves, receive records and collective
+//    arrivals into pre-sized slots, then join each receive with its
+//    send by (channel, ordinal).
 //
 // Either way the records funnel into PatternEngine::dispatch
 // (pattern_engine.hpp), which fires the detector callbacks in one
@@ -50,7 +52,7 @@ P2pSide make_side(const PreparedTrace& prep, Rank rank, std::uint32_t index);
 
 /// Groups every CollExit event into instances keyed by (comm, seq) using
 /// per-rank flat sequence counters. Used by the serial analyzer; the
-/// replay builds the same instances as its tasks arrive.
+/// replay's scan writes each arrival straight into its instance.
 std::vector<CollInstance> group_collectives(const tracing::TraceCollection& tc,
                                             const PreparedTrace& prep);
 

@@ -1,6 +1,6 @@
 // The replay: SCALASCA-style parallel trace analysis (paper §4) on a
-// bounded worker pool. Every application rank becomes a resumable task
-// that reads only its own local trace, from a per-rank event source:
+// bounded worker pool. Every application rank is replayed from its own
+// local trace only, through a per-rank event source:
 //
 //  - analyze_parallel: the borrowed LocalTrace::events vector — one
 //    chunk that is already decoded, so no copy and no decode;
@@ -8,37 +8,40 @@
 //    with only the pages of that block mapped, decoded chunk by chunk,
 //    so peak trace-resident memory is ~ budget instead of ~ trace size.
 //
-// The task re-enacts the recorded communication, moving only the few
-// bytes each pattern formula needs. The exchange protocol per message
-// mirrors the original communication direction:
+// The replay only *pairs* events: the i-th Send on a channel (src, dst,
+// tag, comm) with the i-th Recv on it — MPI's non-overtaking order —
+// and every CollExit with its instance (comm, seq). That pairing is
+// fixed by the traces alone, so no rank ever waits for another. It runs
+// as two parallel_for passes over the ranks, with no locks:
 //
-//   sender:   push {rank, enter, exit, cnode}  -> forward channel
-//   receiver: pop                              <- forward channel
+//  - scan (one item per rank): the rank annotates its events — call-path
+//    tags via CallTree::find against the structure walk's tree,
+//    enclosing-op windows, exclusive times — and writes each Send, with
+//    its channel, into its slice of the send slots; each Recv as a
+//    P2pRecord with its receive side filled into the rank's slice of
+//    the record vector, plus its channel into its slice of the receive
+//    slots; and each collective arrival into its instance's member slot
+//    (comm, seq, position in the rank-sorted members). Every slice is
+//    sized exactly from the structure walk's counts. The rank then
+//    stable-sorts its send and receive slots by channel, which puts each
+//    channel's events together in trace order, and releases its window,
+//    decode buffer and mapping;
+//  - join (one item per rank): each receive channel takes its sender's
+//    slots on that channel in order, filling the send side of the
+//    records. A
+//    channel whose two sides counted differently is an unmatched Send
+//    (reported by the sender) or an unmatched Recv (reported by the
+//    receiver): a typed ErrorCode::Corrupt naming the rank and the
+//    channel. parallel_for rethrows the lowest failing rank's error, so
+//    the error never depends on the worker count.
 //
-// Senders never block, exactly like an eager MPI send. A receiver whose
-// channel is empty — or a collective member whose instance is not yet
-// complete — *suspends* (yields its worker back to the pool) instead of
-// blocking an OS thread, so a pool sized by hardware concurrency drives
-// thousands of ranks. Channels and collective instances live in
-// lock-striped hash maps keyed by (src, dst, tag, comm) / (comm, seq):
-// unrelated channels never contend on one global lock.
+// An in-memory trace is one window. A v3 window nominally holds a number
+// of annotated events derived from the memory budget and extends only
+// while a Send/Recv in it still awaits its enclosing call's exit.
 //
-// Before the replay, the structure walk (prepare.hpp) assigns the
-// call-path ids and rejects malformed traces. Each task then annotates
-// its events as it consumes them, one window at a time — call-path
-// tags via CallTree::find against the walk's tree,
-// enclosing-op windows, exclusive times — and keeps only the annotated
-// communication events. An in-memory trace is one window. A v3 window
-// nominally holds a number of them derived from the memory budget and
-// extends only while a Send/Recv in it still awaits its enclosing
-// call's exit; the budget drives window *sizing*, never cross-rank
-// blocking, so tiny budgets degrade to single-event windows but cannot
-// deadlock.
-//
-// The replay only *collects* match records; pattern evaluation happens
-// afterwards in the pattern engine's canonical dispatch order, which is
-// what makes the cube bit-identical to analyze_serial for any worker
-// count, window size and interleaving.
+// Pattern evaluation happens afterwards in the pattern engine's
+// canonical dispatch order, which is what makes the cube bit-identical
+// to analyze_serial for any worker count, window size and schedule.
 //
 // Permissive v3 sources (StreamSource::quarantined) are filtered on the
 // fly through the tracing::QuarantineMask that prune_quarantined uses.
@@ -47,10 +50,11 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <exception>
 #include <limits>
+#include <memory>
 #include <optional>
+#include <sstream>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -58,13 +62,12 @@
 #include "analysis/pattern_engine.hpp"
 #include "analysis/prepare.hpp"
 #include "analysis/replay_core.hpp"
-#include "analysis/replay_scheduler.hpp"
-#include "analysis/striped_map.hpp"
 #include "common/binary_io.hpp"
 #include "common/error.hpp"
 #include "common/parallel.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/progress.hpp"
+#include "telemetry/recorder.hpp"
 #include "telemetry/span.hpp"
 #include "tracing/stream.hpp"
 
@@ -75,10 +78,9 @@ using tracing::EventType;
 
 namespace {
 
-/// Timestamps + call path one replay side shares with its peer.
-/// Wire size when packed: rank (4) + two timestamps (16) + cnode (4).
+/// Bytes one replay side shares with its peer per Send or collective
+/// arrival, when packed: rank (4) + two timestamps (16) + cnode (4).
 constexpr std::size_t kPeerWireBytes = 24;
-constexpr std::size_t kNoWaiter = static_cast<std::size_t>(-1);
 /// Window size (entries per rank) for a v3 source without a memory
 /// budget. An in-memory trace is one chunk and one window: it is
 /// resident anyway.
@@ -87,59 +89,6 @@ constexpr std::size_t kDefaultWindowEvents = 4096;
 /// cursors per call. Bounded so the decode buffer stays small next to
 /// tiny windows.
 constexpr std::size_t kMaxDecodeChunk = 256;
-
-struct PeerInfo {
-  Rank rank{kNoRank};
-  double op_enter{0.0};
-  double op_exit{0.0};
-  CallPathId cnode;
-};
-
-/// One message channel: FIFO of in-flight sends plus at most one
-/// suspended receiver (each channel has a single consumer — the
-/// destination rank replays its events in order).
-struct Channel {
-  std::deque<PeerInfo> q;
-  std::size_t waiter{kNoWaiter};
-};
-
-struct ChannelKey {
-  Rank src{kNoRank};
-  Rank dst{kNoRank};
-  int tag{0};
-  int comm{0};
-  bool operator==(const ChannelKey&) const = default;
-};
-
-struct ChannelKeyHash {
-  std::size_t operator()(const ChannelKey& k) const {
-    std::size_t h = std::hash<int>{}(k.src);
-    h = hash_combine(h, std::hash<int>{}(k.dst));
-    h = hash_combine(h, std::hash<int>{}(k.tag));
-    return hash_combine(h, std::hash<int>{}(k.comm));
-  }
-};
-
-/// One collective instance under construction: arrived members plus the
-/// tasks suspended until the last member arrives.
-struct CollGroup {
-  std::vector<CollMember> members;
-  Rank root{kNoRank};
-  RegionId region;
-  std::vector<std::size_t> waiters;
-};
-
-struct CollKey {
-  int comm{0};
-  int seq{0};
-  bool operator==(const CollKey&) const = default;
-};
-
-struct CollKeyHash {
-  std::size_t operator()(const CollKey& k) const {
-    return hash_combine(std::hash<int>{}(k.comm), std::hash<int>{}(k.seq));
-  }
-};
 
 /// One annotated communication event resident in a rank's window:
 /// exactly the fields the replay reads.
@@ -236,8 +185,8 @@ struct Frame {
   std::uint32_t first_slot{0};
 };
 
-/// Everything one rank task owns: its event source, the annotation
-/// state bridging windows, the current window, and the replay state.
+/// Everything one rank owns during the scan: its event source, the
+/// annotation state bridging windows, and the current window.
 struct RankTask {
   EventSource src;
 
@@ -249,29 +198,108 @@ struct RankTask {
 
   // Current window.
   std::vector<WinEvent> win;
-  std::size_t wpos{0};
   std::uint32_t windows_filled{0};
   std::size_t sync_bytes{0};  ///< v3: always-materialized sync records
   std::size_t resident{0};    ///< v3: bytes this rank currently accounts
-
-  // Replay state.
-  std::vector<int> coll_seq;
-  std::vector<P2pRecord> records;
-  std::uint64_t wire_bytes{0};
 
   // From the structure walk.
   StructureWalk::RankTotals walked;
   std::uint64_t pruned{0};  ///< v3: events the quarantine filter dropped
 };
 
-/// The replay over prepared rank tasks: installs the cube, runs every
-/// task to completion on the pool, then the region pass and the
-/// canonical dispatch. `residency` is set for a v3 source only: it
-/// turns on the resident-bytes ledger and the window counter. Fills the
-/// match and scheduler stats; trace-volume stats are the caller's.
+// The slot types below are trivially constructible: the slot arrays are
+// allocated uninitialized, so each rank's scan worker touches the pages
+// of its own slice first, in parallel, rather than the calling thread
+// zeroing every slot up front. `peer`, `tag` and `comm` name a message's
+// channel as seen from its own rank: the peer is the destination of a
+// Send, the source of a Recv.
+
+/// A Send waiting for the join: its channel and the sender's part of the
+/// P2pRecord.
+struct SendSlot {
+  double op_enter;
+  double op_exit;
+  CallPathId::rep_type cnode;
+  Rank peer;
+  int tag;
+  int comm;
+};
+
+/// A Recv waiting for the join: its channel, and `pos`, its position
+/// among the rank's receives (= its record in the rank's slice).
+struct RecvSlot {
+  Rank peer;
+  int tag;
+  int comm;
+  std::uint32_t pos;
+};
+
+template <typename Slot>
+bool channel_less(const Slot& a, const Slot& b) {
+  return std::tie(a.peer, a.tag, a.comm) < std::tie(b.peer, b.tag, b.comm);
+}
+
+/// Every rank's slots of one kind, laid out rank after rank: rank r's
+/// are [base[r], base[r + 1]). After the scan each rank's slice is
+/// sorted by channel, each channel's slots in trace order.
+template <typename Slot>
+struct Slots {
+  std::vector<std::size_t> base;
+  std::unique_ptr<Slot[]> slots;
+
+  /// From each rank's slot count.
+  explicit Slots(std::vector<std::size_t> counts) : base(std::move(counts)) {
+    std::size_t total = 0;
+    for (std::size_t& b : base) total += std::exchange(b, total);
+    base.push_back(total);
+    slots = std::make_unique_for_overwrite<Slot[]>(total);
+  }
+  [[nodiscard]] std::size_t size() const { return base.back(); }
+  [[nodiscard]] Slot* begin(std::size_t rank) const {
+    return slots.get() + base[rank];
+  }
+  [[nodiscard]] Slot* end(std::size_t rank) const {
+    return slots.get() + base[rank + 1];
+  }
+  /// `rank`'s slots on channel (peer, tag, comm), in trace order; empty
+  /// for a rank outside the collection.
+  [[nodiscard]] std::pair<const Slot*, const Slot*> channel(Rank rank,
+                                                            Rank peer, int tag,
+                                                            int comm) const {
+    if (rank < 0 || static_cast<std::size_t>(rank) + 1 >= base.size())
+      return {nullptr, nullptr};
+    Slot key{};
+    key.peer = peer;
+    key.tag = tag;
+    key.comm = comm;
+    const auto r = static_cast<std::size_t>(rank);
+    return std::equal_range<const Slot*>(begin(r), end(r), key,
+                                         channel_less<Slot>);
+  }
+};
+
+/// `rank`'s side of channel (peer, tag, comm) counted more events than
+/// the other side.
+[[noreturn]] void unmatched(Rank rank, bool send, Rank peer, int tag,
+                            int comm, std::size_t sends, std::size_t recvs) {
+  const Rank src = send ? rank : peer;
+  const Rank dst = send ? peer : rank;
+  std::ostringstream os;
+  os << "malformed trace: rank " << rank << ": unmatched "
+     << (send ? "Send" : "Recv") << " on channel " << src << " -> " << dst
+     << " tag " << tag << " communicator " << comm << " (" << sends
+     << " sent, " << recvs << " received)";
+  throw Error(ErrorCode::Corrupt, os.str(), ErrorContext{"", rank, -1});
+}
+
+/// The replay over prepared rank tasks: installs the cube, runs the scan
+/// and join passes, then the region pass and the canonical dispatch.
+/// `residency` is set for a v3 source only: it turns on the
+/// resident-bytes ledger and the window counter. Fills the match and
+/// pool stats; trace-volume stats are the caller's.
 AnalysisResult replay(const tracing::TraceCollection& tc,
                       const report::CallTree& calls,
-                      std::vector<RankTask>& tasks,
+                      const StructureWalk& walk, std::vector<RankTask>& tasks,
                       const tracing::QuarantineMask& mask,
                       std::size_t window_events, Residency* residency,
                       const ReplayOptions& opts) {
@@ -292,10 +320,9 @@ AnalysisResult replay(const tracing::TraceCollection& tc,
   // Evicts the consumed window and annotates the next one. The window
   // extends past its nominal size only while a Send/Recv in it still
   // awaits its enclosing call's exit, which is what guarantees every op
-  // window is complete before the replay consumes the event.
+  // window is complete before the scan consumes the event.
   auto fill_window = [&](RankTask& rt) {
     rt.win.clear();
-    rt.wpos = 0;
     // A rank whose ops all fit in one window gets that window sized
     // exactly: it can never outgrow them.
     if (rt.win.capacity() == 0 && rt.walked.ops <= window_events)
@@ -387,31 +414,107 @@ AnalysisResult replay(const tracing::TraceCollection& tc,
   };
 
   telemetry::ScopedSpan replay_span("replay");
-  StripedMap<ChannelKey, Channel, ChannelKeyHash> channels;
-  StripedMap<CollKey, CollGroup, CollKeyHash> colls;
-  // Wire-volume counter: tallied per task during the replay, added to
-  // the registry in one batch at the end; the per-run figure for
-  // AnalysisStats is the end-minus-start delta.
-  telemetry::Counter& replay_bytes = telemetry::counter("replay.bytes");
-  const std::uint64_t replay_bytes0 = replay_bytes.value();
-  for (RankTask& rt : tasks) rt.coll_seq.assign(defs.comms.size(), 0);
+  // Every slot is sized exactly from the structure walk's counts.
+  std::vector<std::size_t> sends(n);
+  std::vector<std::size_t> recvs(n);
+  for (std::size_t r = 0; r < n; ++r) {
+    sends[r] = tasks[r].walked.sends;
+    recvs[r] = tasks[r].walked.recvs;
+  }
+  Slots<SendSlot> send_slots(std::move(sends));
+  Slots<RecvSlot> recv_slots(std::move(recvs));
+  const std::uint64_t total_sends = send_slots.size();
+  std::vector<P2pRecord> p2p(recv_slots.size());
+  // Instances in (comm, seq) order, members in rank order.
+  std::vector<std::size_t> inst_base(defs.comms.size() + 1, 0);
+  std::uint64_t arrivals = 0;
+  for (std::size_t c = 0; c < defs.comms.size(); ++c) {
+    const auto count = static_cast<std::size_t>(walk.instances(c));
+    inst_base[c + 1] = inst_base[c] + count;
+    arrivals += count * walk.members(c).size();
+  }
+  std::vector<CollInstance> instances(inst_base.back());
+  for (std::size_t c = 0; c < defs.comms.size(); ++c) {
+    for (std::size_t k = inst_base[c]; k < inst_base[c + 1]; ++k) {
+      CollInstance& inst = instances[k];
+      inst.comm = static_cast<int>(c);
+      inst.seq = static_cast<int>(k - inst_base[c]);
+      inst.members.resize(walk.members(c).size());
+    }
+  }
 
-  ReplayScheduler sched(n, opts.max_workers, opts.postmortem_events);
-
-  auto step = [&](std::size_t ti) -> StepResult {
-    const Rank me = static_cast<Rank>(ti);
-    RankTask& rt = tasks[ti];
-    for (;;) {
-      if (rt.wpos == rt.win.size()) {
-        fill_window(rt);
-        if (rt.win.empty()) {
+  telemetry::RecordingObserver rec_obs(
+      "replay", telemetry::RecordingObserver::fanout_stride(n));
+  std::atomic<std::size_t> scanned{0};
+  ParallelForStats scan_stats;
+  {
+    telemetry::ScopedSpan span("scan");
+    scan_stats = parallel_for(
+        n, opts.max_workers,
+        [&](std::size_t r) {
+          const auto me = static_cast<Rank>(r);
+          RankTask& rt = tasks[r];
+          std::size_t ks = send_slots.base[r];
+          std::size_t kr = recv_slots.base[r];
+          std::vector<int> coll_seq(defs.comms.size(), 0);
+          for (fill_window(rt); !rt.win.empty(); fill_window(rt)) {
+            ++rt.windows_filled;
+            for (const WinEvent& w : rt.win) {
+              switch (w.type) {
+                case EventType::Send:
+                  MSC_CHECK(ks < send_slots.base[r + 1],
+                            "scan met more sends than the structure walk");
+                  send_slots.slots[ks++] =
+                      SendSlot{w.op_enter,      w.op_exit, w.cnode.get(),
+                               w.peer,          w.tag_or_region, w.comm};
+                  break;
+                case EventType::Recv:
+                  MSC_CHECK(kr < recv_slots.base[r + 1],
+                            "scan met more receives than the structure "
+                            "walk");
+                  p2p[kr] = P2pRecord{
+                      P2pSide{w.peer, 0.0, 0.0, CallPathId{}, RegionId{}},
+                      P2pSide{me, w.op_enter, w.op_exit, w.cnode,
+                              calls.node(w.cnode).region},
+                      w.index};
+                  recv_slots.slots[kr] =
+                      RecvSlot{w.peer, w.tag_or_region, w.comm,
+                               static_cast<std::uint32_t>(
+                                   kr - recv_slots.base[r])};
+                  ++kr;
+                  break;
+                case EventType::CollExit: {
+                  const auto c = static_cast<std::size_t>(w.comm);
+                  const auto seq = static_cast<std::size_t>(coll_seq[c]++);
+                  MSC_CHECK(seq < inst_base[c + 1] - inst_base[c],
+                            "scan met more collectives than the structure "
+                            "walk");
+                  CollInstance& inst = instances[inst_base[c] + seq];
+                  const auto& members = walk.members(c);
+                  const auto pos = static_cast<std::size_t>(
+                      std::lower_bound(members.begin(), members.end(), me) -
+                      members.begin());
+                  inst.members[pos] =
+                      CollMember{me, w.op_enter, w.op_exit, w.cnode};
+                  // One writer per instance: its highest-ranked member,
+                  // whose root and region analyze_serial keeps too.
+                  if (pos + 1 == members.size()) {
+                    inst.root = w.peer;
+                    inst.region = RegionId{w.tag_or_region};
+                  }
+                  break;
+                }
+                case EventType::Enter:
+                case EventType::Exit:
+                  break;  // windows retain communication events only
+              }
+            }
+          }
           // Fully consumed. For a v3 source, release the last resident
-          // bytes, flush this rank's window tally in one add (per-window
-          // counter bumps would contend across workers under tiny
-          // budgets) and unmap here, on the worker, rather than in the
-          // epilogue: a thousand munmaps overlap the still-running
-          // ranks instead of serializing after the replay. The cursor
-          // borrows the mapping's bytes, so it goes first.
+          // bytes and flush this rank's window tally in one add. Unmap
+          // here, on the worker, so munmaps overlap the ranks still
+          // scanning. The cursor borrows the mapping's bytes, so it goes
+          // first.
           if (residency != nullptr) {
             residency->adjust(-static_cast<std::ptrdiff_t>(rt.resident));
             windows_counter->add(rt.windows_filled);
@@ -421,134 +524,89 @@ AnalysisResult replay(const tracing::TraceCollection& tc,
           rt.src.ts.reset();
           rt.src.file = MappedFile();
           rt.src.buf = {};
-          return StepResult::Done;
-        }
-        // Periodic cooperative yield: hand the worker back so other
-        // ranks' windows interleave under tiny budgets, but only every
-        // 32nd window — yielding on every fill dominates the replay
-        // wall once single-event windows make fills cheap and frequent.
-        // Self-resume before Suspend is the pool's sanctioned yield
-        // (the Notified state requeues us). Correctness never depends
-        // on this: blocking ops suspend on their own.
-        if (++rt.windows_filled % 32 == 0) {
-          sched.resume(ti);
-          return StepResult::Suspend;
-        }
-        continue;
-      }
-      const WinEvent& w = rt.win[rt.wpos];
-      switch (w.type) {
-        case EventType::Send: {
-          std::size_t waiter = kNoWaiter;
-          channels.with(ChannelKey{me, w.peer, w.tag_or_region, w.comm},
-                        [&](Channel& c) {
-                          c.q.push_back(
-                              PeerInfo{me, w.op_enter, w.op_exit, w.cnode});
-                          std::swap(waiter, c.waiter);
-                        });
-          rt.wire_bytes += kPeerWireBytes;
-          ++rt.wpos;
-          if (waiter != kNoWaiter) sched.resume(waiter);
-          break;
-        }
-        case EventType::Recv: {
-          PeerInfo got;
-          bool have = false;
-          channels.with(ChannelKey{w.peer, me, w.tag_or_region, w.comm},
-                        [&](Channel& c) {
-                          if (!c.q.empty()) {
-                            got = c.q.front();
-                            c.q.pop_front();
-                            have = true;
-                          } else {
-                            c.waiter = ti;
-                          }
-                        });
-          // Suspend *before* consuming: the sender that fills the
-          // channel resumes us and the retry is guaranteed to pop.
-          if (!have) return StepResult::Suspend;
-          rt.records.push_back(P2pRecord{
-              P2pSide{got.rank, got.op_enter, got.op_exit, got.cnode,
-                      calls.node(got.cnode).region},
-              P2pSide{me, w.op_enter, w.op_exit, w.cnode,
-                      calls.node(w.cnode).region},
-              w.index});
-          ++rt.wpos;
-          break;
-        }
-        case EventType::CollExit: {
-          const int seq = rt.coll_seq[static_cast<std::size_t>(w.comm)]++;
-          const auto& comm = defs.comms[static_cast<std::size_t>(w.comm)];
-          bool complete = false;
-          std::vector<std::size_t> waiters;
-          colls.with(CollKey{w.comm, seq}, [&](CollGroup& g) {
-            CollMember m;
-            m.rank = me;
-            m.enter = w.op_enter;
-            m.exit = w.op_exit;
-            m.cnode = w.cnode;
-            g.members.push_back(m);
-            g.root = w.peer;
-            g.region = RegionId{w.tag_or_region};
-            if (g.members.size() == comm.members.size()) {
-              complete = true;
-              waiters.swap(g.waiters);
-            } else {
-              g.waiters.push_back(ti);
-            }
-          });
-          rt.wire_bytes += kPeerWireBytes;
-          // Our arrival is recorded either way: advance past the event
-          // before suspending so the resumed task does not re-enroll.
-          ++rt.wpos;
-          if (!complete) return StepResult::Suspend;
-          for (const std::size_t wt : waiters) sched.resume(wt);
-          break;
-        }
-        case EventType::Enter:
-        case EventType::Exit:
-          // Unreachable: windows retain communication events only.
-          ++rt.wpos;
-          break;
-      }
-    }
-  };
+          MSC_CHECK(ks == send_slots.base[r + 1] &&
+                        kr == recv_slots.base[r + 1],
+                    "scan met fewer messages than the structure walk");
+          std::stable_sort(send_slots.begin(r), send_slots.end(r),
+                           channel_less<SendSlot>);
+          std::stable_sort(recv_slots.begin(r), recv_slots.end(r),
+                           channel_less<RecvSlot>);
+          const std::size_t done = scanned.fetch_add(1) + 1;
+          if (telemetry::progress_enabled())
+            telemetry::progress("replay", static_cast<double>(done) /
+                                              static_cast<double>(n));
+        },
+        &rec_obs);
+  }
 
-  sched.run(step);
+  ParallelForStats join_stats;
+  {
+    telemetry::ScopedSpan span("join");
+    join_stats = parallel_for(
+        n, opts.max_workers,
+        [&](std::size_t r) {
+          const auto me = static_cast<Rank>(r);
+          // Receive side: the i-th Recv on a channel takes the i-th Send.
+          const RecvSlot* recv_end = recv_slots.end(r);
+          for (const RecvSlot* g = recv_slots.begin(r); g != recv_end;) {
+            const RecvSlot* g_end = std::upper_bound(
+                g, recv_end, *g, channel_less<RecvSlot>);
+            const auto [s_lo, s_hi] =
+                send_slots.channel(g->peer, me, g->tag, g->comm);
+            const auto got = static_cast<std::size_t>(g_end - g);
+            const auto sent = static_cast<std::size_t>(s_hi - s_lo);
+            if (got > sent)
+              unmatched(me, false, g->peer, g->tag, g->comm, sent, got);
+            for (std::size_t i = 0; i < got; ++i) {
+              const SendSlot& h = s_lo[i];
+              const CallPathId cnode{h.cnode};
+              p2p[recv_slots.base[r] + g[i].pos].send =
+                  P2pSide{g->peer, h.op_enter, h.op_exit, cnode,
+                          calls.node(cnode).region};
+            }
+            g = g_end;
+          }
+          // Send side: a channel that sent more than its receiver took.
+          const SendSlot* send_end = send_slots.end(r);
+          for (const SendSlot* g = send_slots.begin(r); g != send_end;) {
+            const SendSlot* g_end = std::upper_bound(
+                g, send_end, *g, channel_less<SendSlot>);
+            const auto [r_lo, r_hi] =
+                recv_slots.channel(g->peer, me, g->tag, g->comm);
+            const auto sent = static_cast<std::size_t>(g_end - g);
+            const auto got = static_cast<std::size_t>(r_hi - r_lo);
+            if (sent > got)
+              unmatched(me, true, g->peer, g->tag, g->comm, sent, got);
+            g = g_end;
+          }
+        },
+        &rec_obs);
+  }
+  // The slots are spent: free them before dispatch.
+  send_slots.slots.reset();
+  recv_slots.slots.reset();
 
   // Region pass before dispatch — the add order analyze_serial uses —
-  // over the window pass's per-rank exclusive times.
+  // over the scan's per-rank exclusive times.
   std::vector<ExclusiveTimes> excl_time(n);
   for (std::size_t r = 0; r < n; ++r) excl_time[r] = std::move(tasks[r].excl);
   engine.region_pass(excl_time);
-
-  std::vector<P2pRecord> p2p;
-  std::uint64_t wire_total = 0;
-  for (RankTask& rt : tasks) {
-    p2p.insert(p2p.end(), rt.records.begin(), rt.records.end());
-    rt.records = {};
-    wire_total += rt.wire_bytes;
-  }
-  std::vector<CollInstance> instances;
-  colls.for_each([&](const CollKey& key, CollGroup& g) {
-    CollInstance inst;
-    inst.comm = key.comm;
-    inst.seq = key.seq;
-    inst.members = std::move(g.members);
-    inst.root = g.root;
-    inst.region = g.region;
-    instances.push_back(std::move(inst));
-  });
   engine.dispatch(std::move(p2p), std::move(instances), res.stats);
 
-  replay_bytes.add(wire_total);
+  // Wire volume: what a message-passing replay ships per Send and per
+  // collective arrival. Registry-backed, like every AnalysisStats
+  // counter: the per-run figure is the end-minus-start delta.
+  telemetry::Counter& replay_bytes = telemetry::counter("replay.bytes");
+  const std::uint64_t replay_bytes0 = replay_bytes.value();
+  replay_bytes.add(kPeerWireBytes * (total_sends + arrivals));
   res.stats.replay_bytes = replay_bytes.value() - replay_bytes0;
-  const SchedulerStats& ss = sched.stats();
-  res.stats.replay_workers = ss.workers;
-  res.stats.replay_tasks = ss.tasks;
-  res.stats.replay_suspensions = ss.suspensions;
-  res.stats.replay_steals = ss.steals;
-  res.stats.replay_requeues = ss.requeues;
+  res.stats.replay_workers = scan_stats.workers;
+  res.stats.replay_tasks = n;
+  res.stats.replay_steals = scan_stats.steals + join_stats.steals;
+  telemetry::gauge("replay.workers")
+      .set(static_cast<double>(scan_stats.workers));
+  telemetry::counter("replay.tasks").add(n);
+  telemetry::counter("replay.steals").add(res.stats.replay_steals);
   return res;
 }
 
@@ -559,11 +617,12 @@ AnalysisResult analyze_parallel(const tracing::TraceCollection& tc,
   MSC_CHECK(tc.synchronized || tc.scheme == tracing::SyncScheme::None,
             "analyze_parallel requires synchronized timestamps");
   report::CallTree calls;
+  StructureWalk walk(tc.defs, tc.ranks.size());
   std::vector<RankTask> tasks(tc.ranks.size());
   {
     telemetry::ScopedSpan span("prepare");
     if (telemetry::progress_enabled()) telemetry::progress("prepare", 0.0);
-    const auto totals = walk_structure(tc, calls);
+    const auto totals = walk.run(tc, opts.max_workers, calls);
     for (std::size_t r = 0; r < tasks.size(); ++r) {
       tasks[r].src.mem = &tc.ranks[r].events;
       tasks[r].walked = totals[r];
@@ -571,7 +630,7 @@ AnalysisResult analyze_parallel(const tracing::TraceCollection& tc,
     if (telemetry::progress_enabled()) telemetry::progress("prepare", 1.0);
   }
   AnalysisResult res =
-      replay(tc, calls, tasks, tracing::QuarantineMask(),
+      replay(tc, calls, walk, tasks, tracing::QuarantineMask(),
              std::numeric_limits<std::size_t>::max(), nullptr, opts);
   fill_trace_stats(tc.total_events(), tracing::in_memory_bytes(tc),
                    res.stats);
@@ -590,59 +649,48 @@ AnalysisResult analyze_streaming(const tracing::StreamSource& src,
   std::vector<RankTask> tasks(n);
   Residency residency;
 
-  // Streaming prepare: map every surviving rank's block, then the
-  // structure walk over the light columns, ranks in ascending order.
-  // Quarantined ranks stay closed and stream zero events.
+  // Streaming prepare, one item per rank: map the rank's block, then
+  // walk its light columns. Quarantined ranks stay closed and stream
+  // zero events.
+  StructureWalk walk(tc.defs, n);
   {
     telemetry::ScopedSpan span("prepare");
-    // Opening + header/type-stream validation is per-rank independent
-    // and syscall-heavy (open, mmap, first page faults), so it fans out
-    // like read_traces' decode. An open error is stashed, not thrown:
-    // the serial walk rethrows it at the rank's slot, so the surfacing
-    // rank is the lowest failing one.
-    std::vector<std::exception_ptr> open_err(n);
-    parallel_for(n, opts.max_workers, [&](std::size_t r) {
-      if (mask.rank(static_cast<std::int64_t>(r))) return;
-      EventSource& es = tasks[r].src;
-      const tracing::TraceBlock& b = src.blocks[r];
-      try {
-        es.file = MappedFile::open(b.path, b.offset, b.length, src.use_mmap);
-        es.ts.emplace(es.file.data(), es.file.size(), b.path, b.offset);
-      } catch (const Error&) {
-        open_err[r] = std::current_exception();
-      }
-    });
-    StructureWalk walk(tc.defs, n, calls);
-    for (std::size_t r = 0; r < n; ++r) {
-      if (mask.rank(static_cast<std::int64_t>(r))) continue;
-      RankTask& rt = tasks[r];
-      try {
-        if (open_err[r]) std::rethrow_exception(open_err[r]);
-        walk.begin(static_cast<Rank>(r));
-        rt.src.ts->scan_light([&](tracing::LightEvent le) {
-          if (mask.drops(le.type, le.peer)) {
-            ++rt.pruned;
-            return;
+    const auto totals = walk.run(
+        opts.max_workers, calls,
+        [&](std::size_t r, StructureWalk& w) -> StructureWalk::RankTotals {
+          if (mask.rank(static_cast<std::int64_t>(r))) return {};
+          RankTask& rt = tasks[r];
+          const tracing::TraceBlock& b = src.blocks[r];
+          try {
+            rt.src.file =
+                MappedFile::open(b.path, b.offset, b.length, src.use_mmap);
+            rt.src.ts.emplace(rt.src.file.data(), rt.src.file.size(), b.path,
+                              b.offset);
+            StructureWalk::RankWalk rw = w.begin(static_cast<Rank>(r));
+            rt.src.ts->scan_light([&](tracing::LightEvent le) {
+              if (mask.drops(le.type, le.peer)) {
+                ++rt.pruned;
+                return;
+              }
+              if (mask.degrades(le.type, le.comm)) {
+                le.type = EventType::Exit;
+                ++rt.pruned;
+              }
+              rw.step(le);
+            });
+            const StructureWalk::RankTotals t = rw.end();
+            // Sync records are materialized for the stream's whole
+            // lifetime; window bytes come and go on top of this floor.
+            rt.sync_bytes =
+                rt.src.ts->sync().size() * sizeof(tracing::OffsetRecord);
+            rt.resident = rt.sync_bytes;
+            residency.adjust(static_cast<std::ptrdiff_t>(rt.resident));
+            return t;
+          } catch (const Error& e) {
+            throw e.with_context(ErrorContext{b.path, static_cast<Rank>(r), -1});
           }
-          if (mask.degrades(le.type, le.comm)) {
-            le.type = EventType::Exit;
-            ++rt.pruned;
-          }
-          walk.step(le);
         });
-        rt.walked = walk.end();
-      } catch (const Error& e) {
-        throw e.with_context(
-            ErrorContext{src.blocks[r].path, static_cast<Rank>(r), -1});
-      }
-      // Sync records are materialized for the stream's whole lifetime;
-      // window bytes come and go on top of this floor.
-      rt.sync_bytes =
-          rt.src.ts->sync().size() * sizeof(tracing::OffsetRecord);
-      rt.resident = rt.sync_bytes;
-      residency.adjust(static_cast<std::ptrdiff_t>(rt.resident));
-    }
-    walk.finish();
+    for (std::size_t r = 0; r < n; ++r) tasks[r].walked = totals[r];
   }
 
   // Window sizing: the budget bounds the bytes of annotated events
@@ -656,7 +704,7 @@ AnalysisResult analyze_streaming(const tracing::StreamSource& src,
                 1, opts.memory_budget_bytes /
                        (std::max<std::size_t>(n, 1) * sizeof(WinEvent)));
   AnalysisResult res =
-      replay(tc, calls, tasks, mask, window_events, &residency, opts);
+      replay(tc, calls, walk, tasks, mask, window_events, &residency, opts);
 
   std::uint64_t total_events = 0;
   std::uint64_t pruned = 0;

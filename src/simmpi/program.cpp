@@ -1,7 +1,10 @@
 #include "simmpi/program.hpp"
 
-#include <map>
 #include <sstream>
+#include <string>
+#include <tuple>
+#include <unordered_map>
+#include <vector>
 
 #include "common/error.hpp"
 
@@ -13,49 +16,69 @@ std::size_t Program::total_ops() const {
   return n;
 }
 
+namespace {
+
+/// (src, dst, tag, comm) of a point-to-point channel.
+using ChannelKey = std::tuple<int, int, int, int>;
+
+struct ChannelKeyHash {
+  std::size_t operator()(const ChannelKey& k) const {
+    const auto [src, dst, tag, comm] = k;
+    std::size_t h = 0;
+    for (const int v : {src, dst, tag, comm})
+      h = (h ^ static_cast<std::size_t>(static_cast<unsigned>(v))) *
+          0x100000001b3ULL;
+    return h;
+  }
+};
+
+}  // namespace
+
 void Program::validate() const {
   const int n = num_ranks();
   // Per-communicator collective call sequences must be identical across
   // members; p2p sends/recvs must pair up per (src, dst, tag, comm).
-  std::map<std::pair<int, int>, std::vector<OpKind>> coll_seq;  // (comm,rank)
-  std::map<std::tuple<int, int, int, int>, long> p2p_balance;
+  // coll_seq[comm] maps a member rank to its sequence.
+  std::vector<std::unordered_map<int, std::vector<OpKind>>> coll_seq(
+      comms.size());
+  std::unordered_map<ChannelKey, long, ChannelKeyHash> p2p_balance;
 
   for (Rank r = 0; r < n; ++r) {
+    // The message prefix is built only when a check fails.
+    const auto where = [r] { return "rank " + std::to_string(r); };
     int depth = 0;
     int requests = 0;
     std::vector<bool> waited;
     for (const auto& op : ops[static_cast<std::size_t>(r)]) {
-      std::ostringstream where;
-      where << "rank " << r;
       switch (op.kind) {
         case OpKind::Enter:
-          MSC_CHECK(op.region.valid(), where.str() + ": Enter without region");
+          MSC_CHECK(op.region.valid(), where() + ": Enter without region");
           ++depth;
           break;
         case OpKind::Exit:
-          MSC_CHECK(depth > 0, where.str() + ": Exit without Enter");
+          MSC_CHECK(depth > 0, where() + ": Exit without Enter");
           --depth;
           break;
         case OpKind::Compute:
-          MSC_CHECK(op.work >= 0.0, where.str() + ": negative work");
+          MSC_CHECK(op.work >= 0.0, where() + ": negative work");
           break;
         case OpKind::Send:
         case OpKind::Isend:
           MSC_CHECK(op.peer >= 0 && op.peer < n && op.peer != r,
-                    where.str() + ": bad send peer");
+                    where() + ": bad send peer");
           p2p_balance[{r, op.peer, op.tag, op.comm.get()}] += 1;
           break;
         case OpKind::Recv:
         case OpKind::Irecv:
           MSC_CHECK(op.peer >= 0 && op.peer < n && op.peer != r,
-                    where.str() + ": bad recv peer");
+                    where() + ": bad recv peer");
           p2p_balance[{op.peer, r, op.tag, op.comm.get()}] -= 1;
           break;
         case OpKind::SendRecv:
           MSC_CHECK(op.peer >= 0 && op.peer < n,
-                    where.str() + ": bad sendrecv dst");
+                    where() + ": bad sendrecv dst");
           MSC_CHECK(op.recv_peer >= 0 && op.recv_peer < n,
-                    where.str() + ": bad sendrecv src");
+                    where() + ": bad sendrecv src");
           p2p_balance[{r, op.peer, op.tag, op.comm.get()}] += 1;
           p2p_balance[{op.recv_peer, r, op.tag, op.comm.get()}] -= 1;
           break;
@@ -64,65 +87,70 @@ void Program::validate() const {
       }
       if (op.kind == OpKind::Isend || op.kind == OpKind::Irecv) {
         MSC_CHECK(op.request == requests,
-                  where.str() + ": request slots must be sequential");
+                  where() + ": request slots must be sequential");
         ++requests;
         waited.push_back(false);
       }
       if (op.kind == OpKind::Wait) {
         MSC_CHECK(op.request >= 0 && op.request < requests,
-                  where.str() + ": Wait on unknown request");
+                  where() + ": Wait on unknown request");
         MSC_CHECK(!waited[static_cast<std::size_t>(op.request)],
-                  where.str() + ": double Wait on request");
+                  where() + ": double Wait on request");
         waited[static_cast<std::size_t>(op.request)] = true;
       }
       if (is_collective(op.kind)) {
         const Communicator& c = comms.get(op.comm);
         MSC_CHECK(c.contains(r),
-                  where.str() + ": collective on non-member communicator");
+                  where() + ": collective on non-member communicator");
         if (op.kind != OpKind::Barrier && op.kind != OpKind::Allreduce &&
             op.kind != OpKind::Allgather && op.kind != OpKind::Alltoall) {
           MSC_CHECK(op.root >= 0 && c.contains(op.root),
-                    where.str() + ": rooted collective needs member root");
+                    where() + ": rooted collective needs member root");
         }
-        coll_seq[{op.comm.get(), r}].push_back(op.kind);
+        coll_seq[static_cast<std::size_t>(op.comm.get())][r].push_back(
+            op.kind);
       }
     }
-    std::ostringstream where;
-    where << "rank " << r;
-    MSC_CHECK(depth == 0, where.str() + ": unbalanced Enter/Exit");
+    MSC_CHECK(depth == 0, where() + ": unbalanced Enter/Exit");
     for (std::size_t q = 0; q < waited.size(); ++q)
-      MSC_CHECK(waited[q], where.str() + ": request never waited");
+      MSC_CHECK(waited[q], where() + ": request never waited");
   }
 
+  // Report the lowest unbalanced channel, whatever the hash order.
+  const ChannelKey* worst = nullptr;
+  long worst_bal = 0;
   for (const auto& [key, bal] : p2p_balance) {
-    if (bal != 0) {
-      std::ostringstream os;
-      os << "unmatched point-to-point: " << std::get<0>(key) << " -> "
-         << std::get<1>(key) << " tag " << std::get<2>(key) << " comm "
-         << std::get<3>(key) << " (balance " << bal << ")";
-      throw Error(os.str());
+    if (bal != 0 && (worst == nullptr || key < *worst)) {
+      worst = &key;
+      worst_bal = bal;
     }
   }
+  if (worst != nullptr) {
+    std::ostringstream os;
+    os << "unmatched point-to-point: " << std::get<0>(*worst) << " -> "
+       << std::get<1>(*worst) << " tag " << std::get<2>(*worst) << " comm "
+       << std::get<3>(*worst) << " (balance " << worst_bal << ")";
+    throw Error(os.str());
+  }
 
+  const std::vector<OpKind> none;
   for (std::size_t c = 0; c < comms.size(); ++c) {
     const Communicator& comm = comms.get(CommId{static_cast<int>(c)});
-    std::vector<OpKind> ref;
-    bool have_ref = false;
+    const std::vector<OpKind>* ref = nullptr;
     Rank ref_rank = kNoRank;
     for (Rank m : comm.members) {
-      auto it = coll_seq.find({static_cast<int>(c), m});
-      std::vector<OpKind> seq =
-          it == coll_seq.end() ? std::vector<OpKind>{} : it->second;
-      if (!have_ref) {
-        ref = std::move(seq);
+      const auto it = coll_seq[c].find(m);
+      const std::vector<OpKind>& seq =
+          it == coll_seq[c].end() ? none : it->second;
+      if (ref == nullptr) {
+        ref = &seq;
         ref_rank = m;
-        have_ref = true;
         continue;
       }
-      if (seq != ref) {
+      if (seq != *ref) {
         std::ostringstream os;
         os << "collective sequence mismatch on " << comm.name << ": rank "
-           << ref_rank << " has " << ref.size() << " collectives, rank " << m
+           << ref_rank << " has " << ref->size() << " collectives, rank " << m
            << " has " << seq.size();
         throw Error(os.str());
       }

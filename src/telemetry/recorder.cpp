@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
-#include <sstream>
+#include <new>
 
 namespace metascope::telemetry {
 
@@ -39,10 +38,6 @@ const char* trace_event_kind_name(TraceEventKind kind) {
       return "task-begin";
     case TraceEventKind::TaskEnd:
       return "task-end";
-    case TraceEventKind::TaskSuspend:
-      return "suspend";
-    case TraceEventKind::TaskResume:
-      return "resume";
     case TraceEventKind::TaskSteal:
       return "steal";
     case TraceEventKind::SpanBegin:
@@ -62,9 +57,20 @@ const char* trace_event_kind_name(TraceEventKind kind) {
 /// recorder's drop policy.
 struct Recorder::Ring {
   explicit Ring(std::size_t cap)
-      : slots(round_up_pow2(cap == 0 ? 1 : cap)),
-        mask(slots.size() - 1) {}
-  std::vector<TraceEvent> slots;  ///< ts_ns holds raw ticks until snapshot
+      : capacity(round_up_pow2(cap == 0 ? 1 : cap)),
+        slots(static_cast<TraceEvent*>(
+            ::operator new(capacity * sizeof(TraceEvent)))),
+        mask(capacity - 1) {}
+  Ring(const Ring&) = delete;
+  Ring& operator=(const Ring&) = delete;
+  ~Ring() { ::operator delete(slots); }
+
+  std::size_t capacity;
+  /// Raw storage, written slot by slot and read only below `seq`: a ring
+  /// costs the pages its thread actually records into, so the short-lived
+  /// workers every parallel_for spawns do not each zero a whole ring.
+  /// (TraceEvent is an aggregate, so the allocation creates its objects.)
+  TraceEvent* slots;  ///< ts_ns holds raw ticks until snapshot
   std::size_t mask;
   std::atomic<std::uint64_t> seq{0};
   std::string label;  ///< guarded by the recorder mutex
@@ -157,7 +163,7 @@ Recorder::Ring& Recorder::local_ring() {
     t.mask = ring->mask;
     t.seq = 0;
     t.seq_pub = &ring->seq;
-    t.slots.store(ring->slots.data(), std::memory_order_relaxed);
+    t.slots.store(ring->slots, std::memory_order_relaxed);
     c.ring = ring.get();
     rings_.push_back(std::move(ring));
   }
@@ -233,7 +239,7 @@ std::vector<Recorder::ThreadLog> Recorder::snapshot() const {
   std::vector<ThreadLog> out;
   out.reserve(rings_.size());
   for (const auto& r : rings_) {
-    const std::size_t cap = r->slots.size();
+    const std::size_t cap = r->capacity;
     const std::uint64_t s1 = r->seq.load(std::memory_order_acquire);
     const std::uint64_t n = std::min<std::uint64_t>(s1, cap);
     ThreadLog log;
@@ -277,36 +283,6 @@ void set_thread_label(const std::string& label) {
   Recorder::instance().set_thread_label(label);
 }
 
-std::string postmortem_report(std::size_t last_n) {
-  if (last_n == 0) return {};
-  const auto logs = Recorder::instance().snapshot();
-  std::uint64_t total = 0;
-  for (const auto& log : logs) total += log.events.size();
-  if (total == 0) return {};
-  std::ostringstream os;
-  os << "flight recorder postmortem (last " << last_n
-     << " events per thread):\n";
-  std::size_t tid = 0;
-  for (const auto& log : logs) {
-    os << "  [" << (log.label.empty() ? "thread " + std::to_string(tid)
-                                      : log.label)
-       << "]";
-    if (log.dropped > 0) os << " (" << log.dropped << " older dropped)";
-    os << "\n";
-    const std::size_t n = std::min(last_n, log.events.size());
-    for (std::size_t i = log.events.size() - n; i < log.events.size();
-         ++i) {
-      const TraceEvent& e = log.events[i];
-      char ts[32];
-      std::snprintf(ts, sizeof ts, "%+12.6f s", e.ts_ns * 1e-9);
-      os << "    " << ts << "  " << trace_event_kind_name(e.kind) << "  "
-         << (e.name ? e.name : "?") << " #" << e.id << "\n";
-    }
-    ++tid;
-  }
-  return os.str();
-}
-
 void RecordingObserver::on_worker_attach(std::size_t wid) {
   set_thread_label(std::string(stage_) + " worker " + std::to_string(wid));
 }
@@ -317,16 +293,9 @@ void RecordingObserver::on_task_begin(std::size_t task) {
                static_cast<std::uint32_t>(task));
 }
 
-void RecordingObserver::on_task_end(std::size_t task, bool suspended) {
+void RecordingObserver::on_task_end(std::size_t task) {
   if (!keep(task)) return;
-  record_event(suspended ? TraceEventKind::TaskSuspend
-                         : TraceEventKind::TaskEnd,
-               stage_, static_cast<std::uint32_t>(task));
-}
-
-void RecordingObserver::on_task_resume(std::size_t task) {
-  if (!keep(task)) return;
-  record_event(TraceEventKind::TaskResume, stage_,
+  record_event(TraceEventKind::TaskEnd, stage_,
                static_cast<std::uint32_t>(task));
 }
 

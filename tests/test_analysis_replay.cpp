@@ -1,9 +1,10 @@
-// Replay-core + scheduler properties: the pooled parallel analyzer must
-// produce a cube *bit-identical* to the serial analyzer for any worker
-// count and any interleaving (the canonical-order accumulation makes
-// floating-point sums order-independent across runs); malformed traces
-// fail fast instead of hanging a worker forever, with the same typed
-// Error from every analyzer.
+// Replay properties: the pooled parallel analyzer must produce a cube
+// *bit-identical* to the serial analyzer for any worker count and any
+// schedule (the canonical-order accumulation makes floating-point sums
+// order-independent across runs); the parallel structure walk assigns
+// the serial walk's call-path ids; malformed traces fail with a typed
+// Error — the same from every analyzer where they share the check, and
+// the lowest failing rank's for every worker count.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,7 +15,7 @@
 #include <unistd.h>
 
 #include "analysis/analyzer.hpp"
-#include "analysis/replay_scheduler.hpp"
+#include "analysis/prepare.hpp"
 #include "archive/archive.hpp"
 #include "clocksync/correction.hpp"
 #include "common/error.hpp"
@@ -143,9 +144,8 @@ TEST(ReplayScaling, ManyRanksOnFourWorkers) {
   EXPECT_TRUE(s.cube.approx_equal(p.cube, 0.0));
   EXPECT_EQ(p.stats.replay_workers, 4u);
   EXPECT_EQ(p.stats.replay_tasks, static_cast<std::size_t>(n));
-  // With 256 ranks multiplexed onto 4 workers, replay cannot proceed
-  // without suspending at unsatisfied receives / incomplete collectives.
-  EXPECT_GT(p.stats.replay_suspensions, 0u);
+  // 256 ranks on 4 workers: no rank ever waits for another.
+  EXPECT_EQ(p.stats.replay_suspensions, 0u);
 }
 
 // --- malformed traces fail fast (satellite) ----------------------------------
@@ -182,8 +182,8 @@ TEST(ReplayFailFast, UnmatchedReceiveReportsDeadlockNotHang) {
   auto tc = perfect_traces(topo, b.take());
 
   // Drop the Send event: rank 1's receive can never be satisfied. The
-  // scheduler must detect the quiescent replay and raise instead of
-  // leaving the task suspended forever.
+  // join must reject the channel with a typed error naming the
+  // receiving rank and the channel.
   auto& events = tc.ranks[0].events;
   const auto it = std::find_if(
       events.begin(), events.end(),
@@ -192,7 +192,16 @@ TEST(ReplayFailFast, UnmatchedReceiveReportsDeadlockNotHang) {
   events.erase(it);
 
   EXPECT_THROW(analyze_serial(tc), Error);
-  EXPECT_THROW(analyze_parallel(tc), Error);
+  try {
+    (void)analyze_parallel(tc);
+    ADD_FAILURE() << "no Error thrown";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::Corrupt) << e.what();
+    EXPECT_EQ(e.context().rank, 1) << e.what();
+    EXPECT_EQ(e.base_message(),
+              "malformed trace: rank 1: unmatched Recv on channel 0 -> 1 "
+              "tag 5 communicator 0 (0 sent, 1 received)");
+  }
 }
 
 // --- one malformed-trace matrix for every analyzer ---------------------------
@@ -247,6 +256,8 @@ struct MalformedCase {
   std::function<void(std::vector<tracing::Event>&)> damage;
   /// Expected Error::base_message().
   std::string message;
+  /// Breaks the definitions, if set.
+  std::function<void(tracing::TraceDefs&)> damage_defs{};
 };
 
 std::ostream& operator<<(std::ostream& os, const MalformedCase& c) {
@@ -283,6 +294,7 @@ TEST_P(MalformedTraceMatrix, SameTypedErrorFromEveryAnalyzer) {
   auto tc = clean_pair();
   ASSERT_NO_THROW(analyze_serial(tc));  // the baseline is well-formed
   GetParam().damage(tc.ranks[1].events);
+  if (GetParam().damage_defs) GetParam().damage_defs(tc.defs);
 
   // The v3 archive of the damaged collection, streamed back.
   const auto topo = simnet::make_ibm_power(2);
@@ -350,7 +362,14 @@ INSTANTIATE_TEST_SUITE_P(
         MalformedCase{"RegionOutOfRange",
                       [](auto& ev) { ev[1].region = RegionId{42}; },
                       "malformed trace: rank 1 event 1: unknown region id "
-                      "42"}),
+                      "42"},
+        MalformedCase{"DuplicateCommunicatorMember",
+                      [](auto&) {},
+                      "malformed definitions: communicator 0 lists rank 1 "
+                      "twice",
+                      [](tracing::TraceDefs& defs) {
+                        defs.comms[0].members = {0, 1, 1};
+                      }}),
     [](const ::testing::TestParamInfo<MalformedCase>& info) {
       return std::string(info.param.name);
     });
@@ -386,7 +405,7 @@ TEST(MalformedTrace, PermissiveStreamRejectsOutOfRangeComm) {
   std::filesystem::remove_all(dir);
 }
 
-// --- scheduler stats ----------------------------------------------------------
+// --- pool stats ----------------------------------------------------------
 
 TEST(SchedulerStats, CountersPopulated) {
   const auto topo = simnet::make_viola_experiment1();
@@ -397,9 +416,246 @@ TEST(SchedulerStats, CountersPopulated) {
   EXPECT_EQ(p.stats.replay_workers, 2u);
   EXPECT_EQ(p.stats.replay_tasks,
             static_cast<std::size_t>(tc.num_ranks()));
-  EXPECT_GT(p.stats.replay_suspensions, 0u);
-  // Every suspension is eventually resumed exactly once.
-  EXPECT_EQ(p.stats.replay_requeues, p.stats.replay_suspensions);
+  // The scan and join pair events without any rank waiting for another.
+  EXPECT_EQ(p.stats.replay_suspensions, 0u);
+  EXPECT_GT(p.stats.replay_bytes, 0u);
+}
+
+// --- unmatched messages ------------------------------------------------------
+
+/// Three ranks: rank 0 sends rank 1 two messages on tag 5 and exchanges
+/// one message each way with rank 2 on tag 9.
+tracing::TraceCollection three_rank_chatter() {
+  simmpi::ProgramBuilder b(3);
+  b.on(0).enter("main").send(1, 5, 64.0).send(1, 5, 64.0);
+  b.on(0).send(2, 9, 64.0).recv(2, 9).exit();
+  b.on(1).enter("main").recv(0, 5).recv(0, 5).exit();
+  b.on(2).enter("main").recv(0, 9).send(0, 9, 64.0).exit();
+  return perfect_traces(simnet::make_ibm_power(3), b.take());
+}
+
+void erase_first(std::vector<tracing::Event>& events, EventType type) {
+  const auto it = first_of(events, type);
+  ASSERT_NE(it, events.end());
+  events.erase(it);
+}
+
+struct UnmatchedCase {
+  const char* name;
+  /// Damages the collection.
+  std::function<void(tracing::TraceCollection&)> damage;
+  Rank rank;  ///< the rank the error names
+  std::string message;
+};
+
+std::ostream& operator<<(std::ostream& os, const UnmatchedCase& c) {
+  return os << c.name;
+}
+
+class UnmatchedMessage : public ::testing::TestWithParam<UnmatchedCase> {
+ protected:
+  void SetUp() override {
+    dir_ = (std::filesystem::temp_directory_path() /
+            ("msc_unmatched_" + std::to_string(::getpid()) + "_" +
+             GetParam().name))
+               .string();
+    std::filesystem::remove_all(dir_);
+  }
+  void TearDown() override { std::filesystem::remove_all(dir_); }
+
+  std::string dir_;
+};
+
+// The replay of analyze_parallel and analyze_streaming, strict and
+// permissive (rank 2 quarantined, which drops the 0 <-> 2 exchange but
+// not the damaged channel), rejects the channel with the same error.
+TEST_P(UnmatchedMessage, CorruptNamingRankAndChannel) {
+  auto tc = three_rank_chatter();
+  ASSERT_NO_THROW(analyze_parallel(tc));
+  GetParam().damage(tc);
+  const auto topo = simnet::make_ibm_power(3);
+  auto arch = archive::ExperimentArchive::create(
+      topo, archive::FileSystemLayout::shared(dir_, 1), "exp");
+  arch.write_traces(topo, tc);
+  std::vector<Error> errors;
+  errors.push_back(error_of([&] { (void)analyze_parallel(tc); }));
+  errors.push_back(error_of([&] {
+    (void)analyze_streaming(arch.stream_source(archive::ReadOptions{}));
+  }));
+  container_edit::write_block(
+      dir_ + "/exp.msc/" + tracing::container_filename(0), 2, {});
+  archive::ReadOptions permissive;
+  permissive.permissive = true;
+  const tracing::StreamSource permissive_src = arch.stream_source(permissive);
+  ASSERT_EQ(permissive_src.quarantined, std::vector<Rank>{2});
+  const tracing::TraceCollection permissive_tc = arch.read_traces(permissive);
+  errors.push_back(error_of([&] { (void)analyze_parallel(permissive_tc); }));
+  errors.push_back(error_of([&] { (void)analyze_streaming(permissive_src); }));
+  for (const Error& e : errors) {
+    EXPECT_EQ(e.code(), ErrorCode::Corrupt) << e.what();
+    EXPECT_EQ(e.context().rank, GetParam().rank) << e.what();
+    EXPECT_EQ(e.base_message(), GetParam().message) << e.what();
+  }
+  // The serial analyzer matches messages on its own and rejects the
+  // trace too.
+  EXPECT_THROW(analyze_serial(tc), Error);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Replay, UnmatchedMessage,
+    ::testing::Values(
+        UnmatchedCase{"UnmatchedRecv",
+                      [](auto& tc) {
+                        erase_first(tc.ranks[0].events, EventType::Send);
+                      },
+                      1,
+                      "malformed trace: rank 1: unmatched Recv on channel "
+                      "0 -> 1 tag 5 communicator 0 (1 sent, 2 received)"},
+        UnmatchedCase{"UnmatchedSend",
+                      [](auto& tc) {
+                        erase_first(tc.ranks[1].events, EventType::Recv);
+                      },
+                      0,
+                      "malformed trace: rank 0: unmatched Send on channel "
+                      "0 -> 1 tag 5 communicator 0 (2 sent, 1 received)"},
+        // Rank 1 is left with an unmatched Recv too; rank 0 is lower.
+        UnmatchedCase{"SendToRankOutsideCollection",
+                      [](auto& tc) {
+                        auto& ev = tc.ranks[0].events;
+                        first_of(ev, EventType::Send)->peer = 7;
+                      },
+                      0,
+                      "malformed trace: rank 0: unmatched Send on channel "
+                      "0 -> 7 tag 5 communicator 0 (1 sent, 0 received)"},
+        UnmatchedCase{"RecvFromRankOutsideCollection",
+                      [](auto& tc) {
+                        auto& ev = tc.ranks[0].events;
+                        first_of(ev, EventType::Recv)->peer = 7;
+                      },
+                      0,
+                      "malformed trace: rank 0: unmatched Recv on channel "
+                      "7 -> 0 tag 9 communicator 0 (0 sent, 1 received)"}),
+    [](const ::testing::TestParamInfo<UnmatchedCase>& info) {
+      return std::string(info.param.name);
+    });
+
+// Two malformed ranks: the lower one's error surfaces, from the walk and
+// from the join, at every worker count and from both entry points.
+TEST(ReplayFailFast, LowestMalformedRankSurfacesAtEveryWorkerCount) {
+  const int n = 8;
+  const auto topo = simnet::make_ibm_power(n);
+  simmpi::ProgramBuilder b(n);
+  for (Rank r = 0; r < n; ++r) {
+    b.on(r).enter("main").send((r + 1) % n, 3, 128.0);
+    b.on(r).recv((r + n - 1) % n, 3).barrier().exit();
+  }
+  const auto clean = perfect_traces(topo, b.take());
+
+  const std::string dir = (std::filesystem::temp_directory_path() /
+                           ("msc_lowest_rank_" + std::to_string(::getpid())))
+                              .string();
+  struct Damage {
+    std::function<void(tracing::TraceCollection&)> apply;
+    std::string message;
+  };
+  const Damage damages[] = {
+      {[](auto& tc) {
+         for (const Rank r : {6, 3}) {
+           tracing::Event e;
+           e.type = EventType::Exit;
+           auto& ev = tc.ranks[static_cast<std::size_t>(r)].events;
+           ev.insert(ev.begin(), e);
+         }
+       },
+       "malformed trace: rank 3 event 0: Exit without Enter"},
+      // Dropping the Sends of ranks 5 and 2 leaves the Recvs of ranks 6
+      // and 3 unmatched.
+      {[](auto& tc) {
+         erase_first(tc.ranks[5].events, EventType::Send);
+         erase_first(tc.ranks[2].events, EventType::Send);
+       },
+       "malformed trace: rank 3: unmatched Recv on channel 2 -> 3 tag 3 "
+       "communicator 0 (0 sent, 1 received)"},
+  };
+  for (const Damage& d : damages) {
+    auto tc = clean;
+    d.apply(tc);
+    std::filesystem::remove_all(dir);
+    auto arch = archive::ExperimentArchive::create(
+        topo, archive::FileSystemLayout::shared(dir, 1), "exp");
+    arch.write_traces(topo, tc);
+    const tracing::StreamSource src =
+        arch.stream_source(archive::ReadOptions{});
+    for (const std::size_t workers : {std::size_t{1}, std::size_t{2},
+                                      std::size_t{3}, std::size_t{8}}) {
+      ReplayOptions opts;
+      opts.max_workers = workers;
+      for (const Error& e :
+           {error_of([&] { (void)analyze_parallel(tc, opts); }),
+            error_of([&] { (void)analyze_streaming(src, opts); })}) {
+        EXPECT_EQ(e.code(), ErrorCode::Corrupt) << e.what();
+        EXPECT_EQ(e.base_message(), d.message)
+            << workers << " workers: " << e.what();
+      }
+    }
+  }
+  std::filesystem::remove_all(dir);
+}
+
+// A CollExit on a communicator that does not list the rank is rejected
+// by the structure walk every analyzer shares.
+TEST(ReplayFailFast, CollectiveOnForeignCommunicatorIsCorrupt) {
+  auto tc = clean_pair();
+  tc.defs.comms.push_back({CommId{1}, "solo", {0}});
+  first_of(tc.ranks[1].events, EventType::CollExit)->comm = CommId{1};
+  for (const Error& e : {error_of([&] { (void)analyze_serial(tc); }),
+                         error_of([&] { (void)analyze_parallel(tc); })}) {
+    EXPECT_EQ(e.code(), ErrorCode::Corrupt) << e.what();
+    EXPECT_EQ(e.base_message(),
+              "malformed trace: rank 1 event 5: collective on communicator "
+              "1, which does not list the rank");
+  }
+}
+
+// --- the parallel structure walk ---------------------------------------------
+
+// Each rank is walked into a local tree and the local trees merge in
+// rank order: the ids must be those of the serial walk (ranks in order,
+// events in order, get_or_add at every Enter), for any worker count.
+TEST(StructureWalkTest, ParallelWalkBuildsTheSerialCallTree) {
+  const int n = 12;
+  simmpi::ProgramBuilder b(n);
+  for (Rank r = 0; r < n; ++r) {
+    // Rank-dependent first appearances, so a merge out of rank order or
+    // out of first-appearance order renumbers the paths.
+    b.on(r).enter("main");
+    for (int k = 0; k < 3; ++k) {
+      b.on(r).enter("phase" + std::to_string((r + k) % 4));
+      if ((r + k) % 3 == 0) b.on(r).enter("inner" + std::to_string(r % 5)).exit();
+      b.on(r).compute(1e-4).exit();
+    }
+    b.on(r).barrier().exit();
+  }
+  const auto tc = perfect_traces(simnet::make_ibm_power(n), b.take());
+
+  report::CallTree serial;
+  for (const auto& trace : tc.ranks) {
+    std::vector<CallPathId> stack;
+    for (const auto& e : trace.events) {
+      if (e.type == EventType::Enter)
+        stack.push_back(serial.get_or_add(
+            stack.empty() ? CallPathId{} : stack.back(), e.region));
+      else if (e.type == EventType::Exit || e.type == EventType::CollExit)
+        stack.pop_back();
+    }
+  }
+  ASSERT_GT(serial.size(), 10u);
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{2},
+                                    std::size_t{3}, std::size_t{8}}) {
+    report::CallTree calls;
+    StructureWalk(tc.defs, tc.ranks.size()).run(tc, workers, calls);
+    EXPECT_TRUE(calls == serial) << workers << " workers";
+  }
 }
 
 }  // namespace

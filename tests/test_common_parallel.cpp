@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
@@ -76,56 +77,48 @@ TEST(ParallelFor, DisjointSlotWritesAreDeterministic) {
 }
 
 TEST(WorkerPool, ResolveWorkersClampsToTasksAndFloor) {
-  EXPECT_EQ(WorkerPool::resolve_workers(3, 8), 3u);
-  EXPECT_EQ(WorkerPool::resolve_workers(100, 4), 4u);
-  EXPECT_GE(WorkerPool::resolve_workers(100, 0), 1u);
-  EXPECT_EQ(WorkerPool::resolve_workers(0, 4), 1u);
+  EXPECT_EQ(resolve_workers(3, 8), 3u);
+  EXPECT_EQ(resolve_workers(100, 4), 4u);
+  EXPECT_GE(resolve_workers(100, 0), 1u);
+  EXPECT_EQ(resolve_workers(0, 4), 1u);
 }
 
-TEST(WorkerPool, SuspendedTasksCompleteViaResume) {
-  // Even tasks suspend once; each odd task resumes its left neighbour
-  // unconditionally. If the resume lands before the neighbour's suspend,
-  // the Running->Notified leg converts the suspend into an immediate
-  // requeue — either interleaving completes. Exercises the
-  // Parked/Notified handshake from a plain pool client (no replay
-  // machinery involved).
-  const std::size_t n = 32;
-  WorkerPool pool(n, 4);
-  std::vector<std::atomic<int>> phase(n);
-  for (auto& p : phase) p.store(0);
-  pool.run([&](std::size_t t) {
-    if (t % 2 == 0 && phase[t].fetch_add(1) == 0) return StepOutcome::Suspend;
-    if (t % 2 == 1) pool.resume(t - 1);
-    return StepOutcome::Done;
-  });
-  const PoolStats& st = pool.stats();
-  EXPECT_EQ(st.tasks, n);
-  EXPECT_EQ(st.suspensions, n / 2);
-  EXPECT_EQ(st.requeues, st.suspensions);
-  EXPECT_EQ(std::accumulate(st.tasks_per_worker.begin(),
-                            st.tasks_per_worker.end(), std::size_t{0}),
-            n);
-}
-
-TEST(WorkerPool, AllTasksParkedThrowsDeadlockError) {
-  const std::size_t n = 8;
-  WorkerPool pool(n, 2);
+// Item 11 of 16 is dealt to worker 3, a spawned thread: its exception
+// must cross to the calling thread and keep its type and message.
+TEST(WorkerPool, StepExceptionRethrownFromRun) {
   try {
-    pool.run([&](std::size_t) { return StepOutcome::Suspend; });
-    FAIL() << "expected DeadlockError";
-  } catch (const DeadlockError& e) {
-    EXPECT_EQ(e.stuck_tasks(), n);
-    EXPECT_EQ(e.total_tasks(), n);
+    parallel_for(16, 4, [&](std::size_t t) {
+      if (t == 11) throw Error(ErrorCode::Corrupt, "step failed");
+    });
+    ADD_FAILURE() << "no Error thrown";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::Corrupt);
+    EXPECT_EQ(e.base_message(), "step failed");
   }
 }
 
-TEST(WorkerPool, StepExceptionRethrownFromRun) {
-  WorkerPool pool(16, 4);
-  EXPECT_THROW(pool.run([&](std::size_t t) {
-    if (t == 11) throw Error("step failed");
-    return StepOutcome::Done;
-  }),
-               Error);
+TEST(ParallelFor, LowestFailingItemSurfacesAtEveryWorkerCount) {
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{2},
+                                    std::size_t{3}, std::size_t{8}}) {
+    std::vector<std::atomic<int>> ran(64);
+    for (auto& r : ran) r.store(0);
+    try {
+      parallel_for(64, workers, [&](std::size_t i) {
+        ran[i].fetch_add(1);
+        if (i == 9 || i == 40 || i == 63)
+          throw Error("item " + std::to_string(i));
+      });
+      ADD_FAILURE() << "no Error thrown at " << workers << " workers";
+    } catch (const Error& e) {
+      EXPECT_EQ(std::string(e.what()), "item 9") << workers << " workers";
+    }
+    // Failures never cancel other items on the pool; the inline path
+    // stops at the first (lowest) failure.
+    if (workers > 1) {
+      for (std::size_t i = 0; i < ran.size(); ++i)
+        EXPECT_EQ(ran[i].load(), 1) << "item " << i;
+    }
+  }
 }
 
 }  // namespace

@@ -1,9 +1,8 @@
 // Flight recorder + Chrome-trace exporter + time-resolved sampler:
 // ring wrap-around drop accounting, pool lifecycle event pairing, the
 // exporter's structural guarantees (balanced B/E per thread track,
-// non-decreasing timestamps, explicit drop counts), the deadlock
-// postmortem dump, sampler time series, and the versioned snapshot's
-// run-metadata section.
+// non-decreasing timestamps, explicit drop counts), sampler time
+// series, and the versioned snapshot's run-metadata section.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -30,7 +29,6 @@
 namespace metascope::telemetry {
 namespace {
 
-using tracing::EventType;
 
 class TraceTest : public ::testing::Test {
  protected:
@@ -163,7 +161,7 @@ TEST_F(TraceTest, DecimatedObserverKeepsBeginEndPaired) {
   EXPECT_EQ(obs.item_stride(), 3u);
   for (std::size_t task = 0; task < 10; ++task) {
     obs.on_task_begin(task);
-    obs.on_task_end(task, /*suspended=*/false);
+    obs.on_task_end(task);
   }
   const auto logs = Recorder::instance().snapshot();
   ASSERT_EQ(logs.size(), 1u);
@@ -185,7 +183,7 @@ TEST_F(TraceTest, FullPipelineExportIsStructurallyValid) {
   const int nranks = topo.num_ranks();
   simmpi::ProgramBuilder b(nranks);
   for (Rank r = 0; r < nranks; ++r) b.on(r).enter("main");
-  for (int s = 0; s < 6; ++s) {  // ring shifts: suspends are guaranteed
+  for (int s = 0; s < 6; ++s) {  // ring shifts
     for (Rank r = 0; r < nranks; ++r) {
       b.on(r).enter("ring").send((r + 1) % nranks, s, 2048.0);
       b.on(r).recv((r + nranks - 1) % nranks, s).exit();
@@ -233,61 +231,6 @@ TEST_F(TraceTest, WrappedRingStillExportsBalancedAndReportsDrops) {
   expect_structurally_valid(trace);
   EXPECT_GT(trace.at("otherData").at("dropped_events").at("wrappy").as_int(),
             0);
-}
-
-// --- deadlock postmortem -----------------------------------------------
-
-TEST_F(TraceTest, DeadlockedReplayDumpsPostmortem) {
-  const auto topo = simnet::make_ibm_power(2);
-  simmpi::ProgramBuilder b(2);
-  b.on(0).enter("main").send(1, 5, 64.0).exit();
-  b.on(1).enter("main").recv(0, 5).exit();
-  workloads::ExperimentConfig cfg;
-  cfg.perfect_clocks = true;
-  cfg.measurement.scheme = tracing::SyncScheme::None;
-  auto tc = workloads::run_experiment(topo, b.take(), cfg).traces;
-
-  // Drop the Send: rank 1's receive can never be satisfied and the
-  // replay deadlocks.
-  auto& events = tc.ranks[0].events;
-  const auto it = std::find_if(
-      events.begin(), events.end(),
-      [](const auto& e) { return e.type == EventType::Send; });
-  ASSERT_NE(it, events.end());
-  events.erase(it);
-
-  ::testing::internal::CaptureStderr();
-  EXPECT_THROW(analysis::analyze_parallel(tc), Error);
-  const std::string err = ::testing::internal::GetCapturedStderr();
-  EXPECT_NE(err.find("flight recorder postmortem"), std::string::npos);
-  EXPECT_NE(err.find("replay"), std::string::npos);
-
-  // The report itself names the stage and shows the suspend.
-  const std::string report = postmortem_report(8);
-  EXPECT_NE(report.find("replay"), std::string::npos);
-  EXPECT_NE(report.find("suspend"), std::string::npos);
-}
-
-TEST_F(TraceTest, PostmortemDisabledByOption) {
-  const auto topo = simnet::make_ibm_power(2);
-  simmpi::ProgramBuilder b(2);
-  b.on(0).enter("main").send(1, 5, 64.0).exit();
-  b.on(1).enter("main").recv(0, 5).exit();
-  workloads::ExperimentConfig cfg;
-  cfg.perfect_clocks = true;
-  cfg.measurement.scheme = tracing::SyncScheme::None;
-  auto tc = workloads::run_experiment(topo, b.take(), cfg).traces;
-  auto& events = tc.ranks[0].events;
-  events.erase(std::find_if(
-      events.begin(), events.end(),
-      [](const auto& e) { return e.type == EventType::Send; }));
-
-  analysis::ReplayOptions opts;
-  opts.postmortem_events = 0;
-  ::testing::internal::CaptureStderr();
-  EXPECT_THROW(analysis::analyze_parallel(tc, opts), Error);
-  const std::string err = ::testing::internal::GetCapturedStderr();
-  EXPECT_EQ(err.find("flight recorder postmortem"), std::string::npos);
 }
 
 // --- time-resolved sampler ---------------------------------------------
