@@ -12,6 +12,11 @@
 // be bit-identical (tolerance 0) to the serial analyzer's and to the
 // workers=1 pipeline's.
 //
+// Exits 1 when a gate is missed at any rank count: a cube differs from
+// the serial analyzer's, the v3 archive is less than 2x smaller than
+// the v2 one, or streaming cuts the peak resident trace bytes by less
+// than 4x.
+//
 // Usage: bench_pipeline_scaling [max_ranks]
 //   max_ranks caps the sweep (CI smoke runs "bench_pipeline_scaling 64").
 #include <algorithm>
@@ -131,6 +136,7 @@ int main(int argc, char** argv) {
 
   TextTable t({"ranks", "workers", "write", "read", "sync", "prepare",
                "replay", "total [ms]", "speedup", "cube ok"});
+  bool gates_ok = true;
   for (int per_side : {32, 128, 512}) {
     const int ranks = 2 * per_side;
     if (ranks > max_ranks) continue;
@@ -191,6 +197,7 @@ int main(int argc, char** argv) {
       if (w == 1) total_w1 = total_ms;
       const double speedup = total_w1 / total_ms;
       const bool cube_ok = ref_cube.approx_equal(res.cube, 0.0);
+      gates_ok = gates_ok && cube_ok;
       t.add_row({std::to_string(ranks), std::to_string(w),
                  TextTable::fixed(write_ms, 1), TextTable::fixed(read_ms, 1),
                  TextTable::fixed(sync_ms, 1),
@@ -258,6 +265,7 @@ int main(int argc, char** argv) {
         (runs[1].write_ms + runs[1].read_ms);
     const bool fmt_cube_ok = runs[0].cube.approx_equal(runs[1].cube, 0.0) &&
                              runs[0].cube.approx_equal(ref_cube, 0.0);
+    gates_ok = gates_ok && fmt_cube_ok && shrink >= 2.0;
     std::printf(
         "format v2 vs v3 at %d ranks: %ju -> %ju bytes (%.2fx smaller), "
         "write+read %.1f -> %.1f ms (%.2fx), cubes identical: %s\n",
@@ -288,8 +296,8 @@ int main(int argc, char** argv) {
     // analyzed twice from disk: materialized (read_traces + parallel
     // replay, peak = the whole collection) and streamed (windowed
     // decode under a budget that forces single-event windows, peak =
-    // resident windows only). Gates: cubes bit-identical always, and at
-    // 1024 ranks the streamed peak must be >= 4x lower — both
+    // resident windows only). Gates: cubes bit-identical, and the
+    // streamed peak >= 4x lower, at every rank count — both
     // hardware-independent. The wall target — within 15% of the
     // materialized replay — holds on >= 8 cores, where the windowed
     // decode fans out like the materialized one and only the light
@@ -347,6 +355,7 @@ int main(int argc, char** argv) {
           static_cast<double>(
               std::max<std::size_t>(streamed->stats.trace_bytes_in_memory, 1));
       const double overhead_pct = (stream_ms - mat_ms) / mat_ms * 100.0;
+      gates_ok = gates_ok && stream_cube_ok && reduction >= 4.0;
       std::printf(
           "streamed vs materialized at %d ranks: peak %zu -> %zu bytes "
           "(%.1fx lower), replay %.1f -> %.1f ms (%+.1f%%), cubes "
@@ -383,9 +392,19 @@ int main(int argc, char** argv) {
       "per-rank fan-out writes disjoint slots, so the cube is bit-identical\n"
       "to the fully serial pipeline at any worker count.\n"
       "Streaming: peak resident bytes must be >= 4x below materialized at\n"
-      "1024 ranks with bit-identical cubes on any machine; the wall target\n"
-      "(within 15% of materialized) applies on >= 8 cores, where the\n"
-      "windowed decode fans out and only the light prepare pass is serial.");
+      "every rank count with bit-identical cubes on any machine; the wall\n"
+      "target (within 15% of materialized) applies on >= 8 cores, where\n"
+      "the windowed decode fans out and only the light prepare pass is\n"
+      "serial. A missed gate (cube, v3 >= 2x smaller, streamed peak >= 4x\n"
+      "lower) exits 1.");
+  report.set("gates_ok", Json(gates_ok));
   report.write();
+  if (!gates_ok) {
+    std::fprintf(stderr,
+                 "bench_pipeline_scaling: a cube differs from the serial "
+                 "analyzer's, v3 is less than 2x smaller than v2, or "
+                 "streaming cuts the peak less than 4x\n");
+    return 1;
+  }
   return 0;
 }

@@ -163,7 +163,7 @@ int main() {
         auto collc = colls;
         analysis::AnalysisStats stats;
         const auto t0 = std::chrono::steady_clock::now();
-        engine.dispatch(std::move(p2pc), std::move(collc), stats);
+        engine.dispatch(p2pc, std::move(collc), stats);
         const auto t1 = std::chrono::steady_clock::now();
         best = std::min(best, ms_between(t0, t1));
       }

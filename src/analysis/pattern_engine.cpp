@@ -178,7 +178,7 @@ void PatternEngine::region_pass(
   }
 }
 
-void PatternEngine::dispatch(std::vector<P2pRecord>&& p2p,
+void PatternEngine::dispatch(std::span<P2pRecord> p2p,
                              std::vector<CollInstance>&& colls,
                              AnalysisStats& stats) {
   MSC_CHECK(tc_ != nullptr, "PatternEngine::dispatch before install");

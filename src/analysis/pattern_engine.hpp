@@ -45,6 +45,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -272,11 +273,12 @@ class PatternEngine {
   /// times are complete (the replay accumulates them as it goes).
   void region_pass(const std::vector<ExclusiveTimes>& excl_time);
 
-  /// Sorts the records into canonical order, dispatches p2p_matched
-  /// once per message and collective_completed once per instance, runs
-  /// finalize, fills stats.messages / stats.collective_instances, and
-  /// flushes the per-pattern telemetry tallies.
-  void dispatch(std::vector<P2pRecord>&& p2p,
+  /// Sorts the records into canonical order in place, dispatches
+  /// p2p_matched once per message and collective_completed once per
+  /// instance, runs finalize, fills stats.messages /
+  /// stats.collective_instances, and flushes the per-pattern telemetry
+  /// tallies.
+  void dispatch(std::span<P2pRecord> p2p,
                 std::vector<CollInstance>&& colls, AnalysisStats& stats);
 
  private:

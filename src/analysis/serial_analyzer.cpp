@@ -38,7 +38,7 @@ AnalysisResult analyze_serial(const tracing::TraceCollection& tc,
                             make_side(prep, p.recv.rank, p.recv.index),
                             p.recv.index});
 
-  engine.dispatch(std::move(p2p), group_collectives(tc, prep), res.stats);
+  engine.dispatch(p2p, group_collectives(tc, prep), res.stats);
   fill_trace_stats(tc.total_events(), tracing::in_memory_bytes(tc),
                    res.stats);
   return res;

@@ -19,7 +19,7 @@
 //    enclosing-op windows, exclusive times — and writes each Send, with
 //    its channel, into its slice of the send slots; each Recv as a
 //    P2pRecord with its receive side filled into the rank's slice of
-//    the record vector, plus its channel into its slice of the receive
+//    the record array, plus its channel into its slice of the receive
 //    slots; and each collective arrival into its instance's member slot
 //    (comm, seq, position in the rank-sorted members). Every slice is
 //    sized exactly from the structure walk's counts. The rank then
@@ -53,8 +53,10 @@
 #include <limits>
 #include <memory>
 #include <optional>
+#include <span>
 #include <sstream>
 #include <tuple>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -424,7 +426,21 @@ AnalysisResult replay(const tracing::TraceCollection& tc,
   Slots<SendSlot> send_slots(std::move(sends));
   Slots<RecvSlot> recv_slots(std::move(recvs));
   const std::uint64_t total_sends = send_slots.size();
-  std::vector<P2pRecord> p2p(recv_slots.size());
+  // One record per Recv, rank after rank. P2pRecord's member
+  // initializers rule out make_unique_for_overwrite, so the array is
+  // allocated unconstructed: each scan worker constructs its rank's
+  // records in place and so first-touches their pages, as with the slot
+  // arrays. Every record is constructed before dispatch reads it (the
+  // scan checks each rank's count), and none needs destroying.
+  static_assert(std::is_trivially_destructible_v<P2pRecord>);
+  const std::size_t num_records = recv_slots.size();
+  std::allocator<P2pRecord> record_alloc;
+  const auto free_records = [&](P2pRecord* p) {
+    record_alloc.deallocate(p, num_records);
+  };
+  const std::unique_ptr<P2pRecord, decltype(free_records)> records(
+      record_alloc.allocate(num_records), free_records);
+  P2pRecord* const p2p = records.get();
   // Instances in (comm, seq) order, members in rank order.
   std::vector<std::size_t> inst_base(defs.comms.size() + 1, 0);
   std::uint64_t arrivals = 0;
@@ -472,11 +488,11 @@ AnalysisResult replay(const tracing::TraceCollection& tc,
                   MSC_CHECK(kr < recv_slots.base[r + 1],
                             "scan met more receives than the structure "
                             "walk");
-                  p2p[kr] = P2pRecord{
+                  std::construct_at(p2p + kr, P2pRecord{
                       P2pSide{w.peer, 0.0, 0.0, CallPathId{}, RegionId{}},
                       P2pSide{me, w.op_enter, w.op_exit, w.cnode,
                               calls.node(w.cnode).region},
-                      w.index};
+                      w.index});
                   recv_slots.slots[kr] =
                       RecvSlot{w.peer, w.tag_or_region, w.comm,
                                static_cast<std::uint32_t>(
@@ -591,7 +607,8 @@ AnalysisResult replay(const tracing::TraceCollection& tc,
   std::vector<ExclusiveTimes> excl_time(n);
   for (std::size_t r = 0; r < n; ++r) excl_time[r] = std::move(tasks[r].excl);
   engine.region_pass(excl_time);
-  engine.dispatch(std::move(p2p), std::move(instances), res.stats);
+  engine.dispatch(std::span<P2pRecord>(p2p, num_records),
+                  std::move(instances), res.stats);
 
   // Wire volume: what a message-passing replay ships per Send and per
   // collective arrival. Registry-backed, like every AnalysisStats

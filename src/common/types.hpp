@@ -77,6 +77,19 @@ using Dur = double;
 
 inline constexpr double kInfTime = std::numeric_limits<double>::infinity();
 
+/// What one member of a collective operation pushed into it and received
+/// from it, in bytes. Few events are collective exits and no analyzer
+/// reads these, so the simulator's and the tracer's event records leave
+/// them out: each rank keeps one entry per CollExit event beside its
+/// event vector, in event order (simmpi::ExecResult::coll_bytes,
+/// tracing::LocalTrace::coll_bytes).
+struct CollBytes {
+  double sent{0.0};
+  double recvd{0.0};
+
+  constexpr bool operator==(const CollBytes&) const = default;
+};
+
 constexpr TrueTime operator+(TrueTime t, Dur d) { return TrueTime{t.s + d}; }
 constexpr Dur operator-(TrueTime a, TrueTime b) { return a.s - b.s; }
 constexpr LocalTime operator+(LocalTime t, Dur d) { return LocalTime{t.s + d}; }

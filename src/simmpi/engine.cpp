@@ -30,19 +30,21 @@ using HalfId = std::uint32_t;
 constexpr HalfId kNoHalf = std::numeric_limits<HalfId>::max();
 
 struct HalfState {
-  bool posted{false};
   TrueTime post_time;
-  bool timed{false};
-  bool rendezvous{false};
   double bytes{0.0};
-  Rank src{kNoRank};
-  Rank dst{kNoRank};
   // Outputs (valid once timed). All stored on the *send* half; the recv
-  // half holds only posted/post_time and a pointer to its partner.
-  TrueTime send_event;
+  // half holds only posted/post_time and a pointer to its partner. The
+  // Send event itself is not stored: both protocols stamp it at
+  // post_time + 0.5 * overhead(src) (EngineImpl::send_event).
   TrueTime send_done;
   TrueTime arrival;
+  Rank src{kNoRank};
+  Rank dst{kNoRank};
+  bool posted{false};
+  bool timed{false};
+  bool rendezvous{false};
 };
+static_assert(sizeof(HalfState) <= 48, "halves stay 48 bytes");
 
 struct CollInstance {
   std::vector<TrueTime> enter;
@@ -80,6 +82,7 @@ class EngineImpl {
     ip_.assign(n, 0);
     posted_current_.assign(n, false);
     events_.assign(n, {});
+    coll_bytes_.assign(n, {});
     requests_.assign(n, {});
     overhead_.resize(n);
     for (Rank r = 0; r < prog_.num_ranks(); ++r)
@@ -125,6 +128,7 @@ class EngineImpl {
     }
     ExecResult out;
     out.per_rank = std::move(events_);
+    out.coll_bytes = std::move(coll_bytes_);
     out.rank_end.resize(now_.size());
     out.end_time = TrueTime{0.0};
     for (std::size_t r = 0; r < now_.size(); ++r) {
@@ -159,7 +163,8 @@ class EngineImpl {
   /// collective its instance sequence number on the communicator. Pairs
   /// the i-th send half on each channel (src, dst, tag, comm) with the
   /// i-th receive half (MPI non-overtaking order), sizes the collective
-  /// instance tables, and reserves each rank's exact event count.
+  /// instance tables, and reserves each rank's exact event and
+  /// collective counts.
   void precompute_matching() {
     struct ChannelKey {
       Rank src, dst;
@@ -206,6 +211,7 @@ class EngineImpl {
       std::fill(coll_seq.begin(), coll_seq.end(), 0);
       request_is_recv.clear();
       std::size_t num_events = 0;
+      std::size_t num_colls = 0;
       std::uint32_t* slot = slot_.data() + slot_off_[ri];
       const auto& ops = prog_.ops[ri];
       for (std::size_t i = 0; i < ops.size(); ++i) {
@@ -244,11 +250,13 @@ class EngineImpl {
             if (coll_seq[ci] > coll_instances_[ci].size())
               coll_instances_[ci].resize(coll_seq[ci]);
             num_events += 2;
+            ++num_colls;
             break;
           }
         }
       }
       events_[ri].reserve(num_events);
+      coll_bytes_[ri].reserve(num_colls);
     }
 
     // Receives in id order come in each receiving rank's program order,
@@ -278,6 +286,11 @@ class EngineImpl {
   }
 
   HalfState& half(HalfId id) { return halves_[id]; }
+
+  /// When a send half's Send event happens, under either protocol.
+  TrueTime send_event(const HalfState& s) const {
+    return s.post_time + 0.5 * overhead(s.src);
+  }
 
   HalfId partner_of(HalfId id) const {
     const HalfId p = partner_[id];
@@ -314,10 +327,9 @@ class EngineImpl {
     if (!s.posted || s.timed) return;
     const Dur o = overhead(s.src);
     if (!s.rendezvous) {
-      s.send_event = s.post_time + 0.5 * o;
       const auto& link = topo_.link_between(s.src, s.dst);
       s.send_done = s.post_time + o + s.bytes / link.bandwidth_bps;
-      s.arrival = s.send_event + net_.sample_delay(s.src, s.dst, s.bytes);
+      s.arrival = send_event(s) + net_.sample_delay(s.src, s.dst, s.bytes);
       s.timed = true;
     } else {
       const HalfState& rhalf = half(partner_of(send_id));
@@ -330,7 +342,6 @@ class EngineImpl {
       const TrueTime cts_at_sender =
           std::max(rts_at_recv, rhalf.post_time + o_r) + l2;
       const auto& link = topo_.link_between(s.src, s.dst);
-      s.send_event = s.post_time + 0.5 * o;
       s.send_done = cts_at_sender + s.bytes / link.bandwidth_bps;
       s.arrival = s.send_done + l3;
       s.timed = true;
@@ -462,7 +473,7 @@ class EngineImpl {
           const HalfState& s = half(slot(ri, op_idx));
           if (!s.timed) break;
           emit_enter(r, t, mpi_region(OpKind::Send));
-          emit_send(r, s.send_event, op.peer, op.tag, op.bytes, op.comm);
+          emit_send(r, send_event(s), op.peer, op.tag, op.bytes, op.comm);
           done = s.send_done;
           emit_exit(r, done);
           resolved = true;
@@ -522,7 +533,7 @@ class EngineImpl {
           const TrueTime recv_done = std::max(t, ps.arrival) + o;
           done = std::max(s.send_done, recv_done);
           emit_enter(r, t, mpi_region(OpKind::SendRecv));
-          emit_send(r, s.send_event, op.peer, op.tag, op.bytes, op.comm);
+          emit_send(r, send_event(s), op.peer, op.tag, op.bytes, op.comm);
           emit_recv(r, recv_done, op.recv_peer, op.tag, ps.bytes, op.comm);
           emit_exit(r, done);
           resolved = true;
@@ -544,11 +555,10 @@ class EngineImpl {
           ev.comm = op.comm;
           ev.root = op.root;
           ev.bytes = op.bytes;
-          ev.sent_bytes =
-              inst.timing.sent_bytes[static_cast<std::size_t>(local)];
-          ev.recvd_bytes =
-              inst.timing.recvd_bytes[static_cast<std::size_t>(local)];
           emit(r, ev);
+          const auto lu = static_cast<std::size_t>(local);
+          coll_bytes_[ri].push_back(CollBytes{inst.timing.sent_bytes[lu],
+                                              inst.timing.recvd_bytes[lu]});
           resolved = true;
           break;
         }
@@ -620,6 +630,7 @@ class EngineImpl {
   std::vector<std::size_t> ip_;
   std::vector<bool> posted_current_;
   std::vector<std::vector<ExecEvent>> events_;
+  std::vector<std::vector<CollBytes>> coll_bytes_;
   std::vector<std::vector<RequestState>> requests_;
   std::vector<Dur> overhead_;  ///< per-rank MPI call cost
 

@@ -20,22 +20,25 @@ enum class ExecEventType : std::uint8_t {
   CollExit,  ///< leave a collective region, with collective metadata
 };
 
+/// One engine event. Widest fields first and the type tag last, so the
+/// record packs into 40 bytes; a CollExit's per-member byte counts live
+/// beside the event stream in ExecResult::coll_bytes.
 struct ExecEvent {
-  ExecEventType type{ExecEventType::Enter};
   TrueTime time;
+  /// Send/Recv: message payload size. CollExit: this member's
+  /// contribution.
+  double bytes{0.0};
   /// Enter: region entered. CollExit: the MPI collective region.
   RegionId region;
   /// Send: destination rank. Recv: source rank.
   Rank peer{kNoRank};
   int tag{0};
-  /// Send/Recv: message payload size.
-  double bytes{0.0};
   CommId comm{0};
-  /// CollExit: root (kNoRank for rootless), bytes contributed/received.
+  /// CollExit: root (kNoRank for rootless).
   Rank root{kNoRank};
-  double sent_bytes{0.0};
-  double recvd_bytes{0.0};
+  ExecEventType type{ExecEventType::Enter};
 };
+static_assert(sizeof(ExecEvent) == 40, "engine events stay 40 bytes");
 
 /// Aggregate counters for the run (diagnostics and benchmarks).
 struct EngineStats {
@@ -49,6 +52,8 @@ struct EngineStats {
 /// Result of executing a Program: per-rank event streams in true time.
 struct ExecResult {
   std::vector<std::vector<ExecEvent>> per_rank;
+  /// Per rank: one entry per CollExit in per_rank, in event order.
+  std::vector<std::vector<CollBytes>> coll_bytes;
   /// Completion time of the last rank.
   TrueTime end_time;
   /// Per-rank completion times.

@@ -52,26 +52,29 @@ constexpr bool is_collective(OpKind k) {
 /// MPI function name used as the implicit region for an operation.
 const char* mpi_region_name(OpKind k);
 
+/// One operation. Widest fields first and the kind tag last, so the
+/// record packs into 56 bytes.
 struct Op {
-  OpKind kind{OpKind::Compute};
-  /// Enter: user region id (interned in the program's region table).
-  RegionId region;
   /// Compute: nominal seconds of work at speed factor 1.0.
   double work{0.0};
+  /// Payload bytes (send side; collectives: per-rank contribution).
+  double bytes{0.0};
+  /// SendRecv: bytes of the receive half.
+  double recv_bytes{0.0};
+  /// Enter: user region id (interned in the program's region table).
+  RegionId region;
   /// Send/Isend: destination. Recv/Irecv: source. SendRecv: destination.
   Rank peer{kNoRank};
   /// SendRecv: source of the receive half.
   Rank recv_peer{kNoRank};
   int tag{0};
-  /// Payload bytes (send side; collectives: per-rank contribution).
-  double bytes{0.0};
-  /// SendRecv: bytes of the receive half.
-  double recv_bytes{0.0};
   CommId comm{0};
   /// Rooted collectives: root as a *global* rank.
   Rank root{kNoRank};
   /// Isend/Irecv: request slot assigned by the builder; Wait: slot waited.
   int request{-1};
+  OpKind kind{OpKind::Compute};
 };
+static_assert(sizeof(Op) == 56, "ops stay 56 bytes");
 
 }  // namespace metascope::simmpi

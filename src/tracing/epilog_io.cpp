@@ -66,8 +66,9 @@ void decode_sync_rows(Decoder& d, LocalTrace& t, std::uint64_t nsync) {
 
 // ---- row-wise events (v1/v2) ----------------------------------------
 
-void encode_event_rows(BufWriter& w, const std::vector<Event>& events) {
-  for (const auto& e : events) {
+void encode_event_rows(BufWriter& w, const LocalTrace& t) {
+  const CollBytes* coll = t.coll_bytes.data();
+  for (const auto& e : t.events) {
     w.put_u8(static_cast<std::uint8_t>(e.type));
     w.put_f64(e.time);
     switch (e.type) {
@@ -88,8 +89,9 @@ void encode_event_rows(BufWriter& w, const std::vector<Event>& events) {
         w.put_svarint(e.comm.get());
         w.put_svarint(e.root);
         w.put_f64(e.bytes);
-        w.put_f64(e.sent_bytes);
-        w.put_f64(e.recvd_bytes);
+        w.put_f64(coll->sent);
+        w.put_f64(coll->recvd);
+        ++coll;
         break;
     }
   }
@@ -123,8 +125,8 @@ void decode_event_rows(Decoder& d, LocalTrace& t, std::uint64_t nev) {
         e.comm = CommId{static_cast<int>(d.get_svarint())};
         e.root = static_cast<Rank>(d.get_svarint());
         e.bytes = d.get_f64();
-        e.sent_bytes = d.get_f64();
-        e.recvd_bytes = d.get_f64();
+        // A braced list evaluates left to right: sent, then recvd.
+        t.coll_bytes.push_back(CollBytes{d.get_f64(), d.get_f64()});
         break;
       default:
         d.fail(ErrorCode::Corrupt, "corrupt trace: unknown event type " +
@@ -268,8 +270,9 @@ void decode_sync_v3(Decoder& d, LocalTrace& t, std::uint64_t nsync) {
   }
 }
 
-void encode_events_v3(BufWriter& w, const std::vector<Event>& events,
+void encode_events_v3(BufWriter& w, const LocalTrace& t,
                       const std::array<std::uint64_t, kNumEventTypes>& counts) {
+  const std::vector<Event>& events = t.events;
   EventColumns c;
   c.time.reserve(events.size());
   c.enter_region.reserve(static_cast<std::size_t>(counts[0]));
@@ -301,10 +304,14 @@ void encode_events_v3(BufWriter& w, const std::vector<Event>& events,
         c.coll_comm.push_back(e.comm.get());
         c.coll_root.push_back(e.root);
         c.coll_bytes.push_back(e.bytes);
-        c.coll_sent.push_back(e.sent_bytes);
-        c.coll_recvd.push_back(e.recvd_bytes);
         break;
     }
+  }
+  c.coll_sent.reserve(t.coll_bytes.size());
+  c.coll_recvd.reserve(t.coll_bytes.size());
+  for (const CollBytes& cb : t.coll_bytes) {
+    c.coll_sent.push_back(cb.sent);
+    c.coll_recvd.push_back(cb.recvd);
   }
 
   // Nibble-packed type stream, low nibble first.
@@ -387,13 +394,17 @@ void decode_events_v3(Decoder& d, LocalTrace& t, std::uint64_t nev,
   get_double_column(d, c.coll_sent, n_coll, "collexit.sent");
   get_double_column(d, c.coll_recvd, n_coll, "collexit.recvd");
 
-  // Interleave the columns back into the event stream. The type-stream
-  // tallies were checked against the header counts above, so every
-  // cursor lands exactly at its column's end.
-  t.events.resize(static_cast<std::size_t>(nev));
+  t.coll_bytes.resize(n_coll);
+  for (std::size_t i = 0; i < n_coll; ++i)
+    t.coll_bytes[i] = CollBytes{c.coll_sent[i], c.coll_recvd[i]};
+
+  // Interleave the columns back into the event stream, writing each
+  // event once. The type-stream tallies were checked against the header
+  // counts above, so every cursor lands exactly at its column's end.
+  t.events.reserve(static_cast<std::size_t>(nev));
   std::size_t i_enter = 0, i_send = 0, i_recv = 0, i_coll = 0;
   for (std::uint64_t i = 0; i < nev; ++i) {
-    Event& e = t.events[static_cast<std::size_t>(i)];
+    Event e;
     e.type = static_cast<EventType>(types[static_cast<std::size_t>(i)]);
     e.time = c.time[static_cast<std::size_t>(i)];
     switch (e.type) {
@@ -421,11 +432,10 @@ void decode_events_v3(Decoder& d, LocalTrace& t, std::uint64_t nev,
         e.comm = CommId{static_cast<int>(c.coll_comm[i_coll])};
         e.root = static_cast<Rank>(c.coll_root[i_coll]);
         e.bytes = c.coll_bytes[i_coll];
-        e.sent_bytes = c.coll_sent[i_coll];
-        e.recvd_bytes = c.coll_recvd[i_coll];
         ++i_coll;
         break;
     }
+    t.events.push_back(e);
   }
 }
 
@@ -544,6 +554,21 @@ TraceCollection decode_defs(const std::vector<std::uint8_t>& bytes,
 std::vector<std::uint8_t> encode_local_trace(const LocalTrace& trace,
                                              std::uint32_t version) {
   check_encode_version(version);
+  // Every CollExit takes its byte counts from the side vector, in event
+  // order; a count mismatch would misattribute or invent them.
+  std::array<std::uint64_t, kNumEventTypes> counts{};
+  for (const auto& e : trace.events)
+    ++counts[static_cast<std::size_t>(e.type)];
+  const std::uint64_t n_coll = counts[static_cast<std::size_t>(
+      EventType::CollExit)];
+  if (n_coll != trace.coll_bytes.size())
+    throw Error(ErrorCode::Corrupt,
+                "cannot encode the trace of rank " +
+                    std::to_string(trace.rank) + ": " +
+                    std::to_string(n_coll) + " CollExit events but " +
+                    std::to_string(trace.coll_bytes.size()) +
+                    " coll_bytes entries",
+                ErrorContext{"", trace.rank, -1});
   BufWriter w;
   w.put_u32(kTraceMagic);
   w.put_u32(version);
@@ -554,7 +579,7 @@ std::vector<std::uint8_t> encode_local_trace(const LocalTrace& trace,
     w.put_varint(trace.sync.size());
     encode_sync_rows(w, trace.sync);
     w.put_varint(trace.events.size());
-    encode_event_rows(w, trace.events);
+    encode_event_rows(w, trace);
     return w.data();
   }
 
@@ -565,19 +590,16 @@ std::vector<std::uint8_t> encode_local_trace(const LocalTrace& trace,
 
   if (version == 2) {
     encode_sync_rows(w, trace.sync);
-    encode_event_rows(w, trace.events);
+    encode_event_rows(w, trace);
     return w.data();
   }
 
   // v3 header additionally carries per-type counts, so the decoder can
   // size every column before touching the payload.
-  std::array<std::uint64_t, kNumEventTypes> counts{};
-  for (const auto& e : trace.events)
-    ++counts[static_cast<std::size_t>(e.type)];
   for (const std::uint64_t c : counts) w.put_varint(c);
 
   encode_sync_v3(w, trace.sync);
-  encode_events_v3(w, trace.events, counts);
+  encode_events_v3(w, trace, counts);
   return w.data();
 }
 

@@ -22,25 +22,26 @@ enum class EventType : std::uint8_t {
 
 const char* to_string(EventType t);
 
+/// One trace record. Widest fields first and the type tag last, so the
+/// record packs into 40 bytes; a CollExit's per-member byte counts live
+/// beside the event vector in LocalTrace::coll_bytes.
 struct Event {
-  EventType type{EventType::Enter};
   /// Timestamp in the trace's current clock domain, seconds.
   double time{0.0};
+  /// Send/Recv: payload bytes. CollExit: this member's contribution.
+  double bytes{0.0};
   /// Enter/CollExit: region id.
   RegionId region;
   /// Send: destination rank; Recv: source rank.
   Rank peer{kNoRank};
   int tag{0};
-  /// Send/Recv: payload bytes.
-  double bytes{0.0};
   CommId comm{0};
   /// CollExit: root rank (kNoRank when rootless).
   Rank root{kNoRank};
-  /// CollExit: bytes pushed/landed at this member.
-  double sent_bytes{0.0};
-  double recvd_bytes{0.0};
+  EventType type{EventType::Enter};
 
   bool operator==(const Event&) const = default;
 };
+static_assert(sizeof(Event) == 40, "trace events stay 40 bytes");
 
 }  // namespace metascope::tracing

@@ -142,8 +142,6 @@ void stamp_events(const simnet::ClockModel& clock,
     te.bytes = ev.bytes;
     te.comm = ev.comm;
     te.root = ev.root;
-    te.sent_bytes = ev.sent_bytes;
-    te.recvd_bytes = ev.recvd_bytes;
     out.push_back(te);
   }
 }
@@ -158,6 +156,8 @@ TraceCollection collect_traces(const simnet::Topology& topo,
                                const std::vector<EnvMap>& envs) {
   MSC_CHECK(exec.num_ranks() == topo.num_ranks(),
             "execution/topology rank mismatch");
+  MSC_CHECK(exec.coll_bytes.size() == exec.per_rank.size(),
+            "execution result lacks per-rank collective byte counts");
   telemetry::ScopedSpan span("trace");
   TraceCollection out;
   out.scheme = cfg.scheme;
@@ -210,6 +210,7 @@ TraceCollection collect_traces(const simnet::Topology& topo,
         lt.rank = r;
         stamp_events(clocks.clock_of(topo, r), exec.per_rank[ri],
                      root.split(ri + 1), lt.events);
+        lt.coll_bytes = exec.coll_bytes[ri];
         if (telemetry::progress_enabled())
           telemetry::progress("trace", static_cast<double>(++stamped) /
                                            static_cast<double>(n));

@@ -328,7 +328,8 @@ void TraceStream::finish_window_cursors() {
 }
 
 std::size_t TraceStream::next(std::vector<Event>& out,
-                              std::size_t max_events) {
+                              std::size_t max_events,
+                              std::vector<CollBytes>* coll_bytes) {
   const std::size_t k = std::min(max_events, remaining());
   if (k == 0) return 0;
   try {
@@ -377,6 +378,9 @@ std::size_t TraceStream::next(std::vector<Event>& out,
       c_coll_bytes_.next(b_coll_bytes_.data(), cnt[4]);
       c_coll_sent_.next(b_coll_sent_.data(), cnt[4]);
       c_coll_recvd_.next(b_coll_recvd_.data(), cnt[4]);
+      if (coll_bytes != nullptr)
+        for (std::size_t i = 0; i < cnt[4]; ++i)
+          coll_bytes->push_back(CollBytes{b_coll_sent_[i], b_coll_recvd_[i]});
     }
 
     out.reserve(out.size() + k);
@@ -410,8 +414,6 @@ std::size_t TraceStream::next(std::vector<Event>& out,
           e.comm = CommId{static_cast<int>(b_coll_comm_[ic])};
           e.root = static_cast<Rank>(b_coll_root_[ic]);
           e.bytes = b_coll_bytes_[ic];
-          e.sent_bytes = b_coll_sent_[ic];
-          e.recvd_bytes = b_coll_recvd_[ic];
           ++ic;
           break;
       }

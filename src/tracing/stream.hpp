@@ -70,10 +70,14 @@ class TraceStream {
   void scan_light(const std::function<void(const LightEvent&)>& cb) const;
 
   /// Decodes the next up-to-`max_events` events, appending fully
-  /// populated Events to `out`. Returns how many were produced (0 at
-  /// end of stream). The per-column frame contracts are re-checked
+  /// populated Events to `out` and, when `coll_bytes` is set, each
+  /// CollExit's byte counts to it (LocalTrace::coll_bytes). Returns how
+  /// many events were produced (0 at end of stream). The byte-count
+  /// columns are decoded either way, so their corruption surfaces like
+  /// the batch reader's. The per-column frame contracts are re-checked
   /// when the last event decodes, mirroring the batch reader.
-  std::size_t next(std::vector<Event>& out, std::size_t max_events);
+  std::size_t next(std::vector<Event>& out, std::size_t max_events,
+                   std::vector<CollBytes>* coll_bytes = nullptr);
 
   [[nodiscard]] std::size_t decoded() const { return decoded_; }
   [[nodiscard]] std::size_t remaining() const {

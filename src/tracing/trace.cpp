@@ -1,6 +1,9 @@
 #include "tracing/trace.hpp"
 
 #include <algorithm>
+#include <string>
+
+#include "common/error.hpp"
 
 namespace metascope::tracing {
 
@@ -27,6 +30,7 @@ const char* to_string(SyncScheme s) {
 
 std::size_t in_memory_bytes(const LocalTrace& t) {
   return t.events.size() * sizeof(Event) +
+         t.coll_bytes.size() * sizeof(CollBytes) +
          t.sync.size() * sizeof(OffsetRecord);
 }
 
@@ -136,7 +140,10 @@ std::size_t prune_quarantined(TraceCollection& tc,
   for (auto& t : tc.ranks) {
     if (mask.rank(t.rank)) continue;
     std::vector<Event> kept;
+    std::vector<CollBytes> kept_bytes;
     kept.reserve(t.events.size());
+    kept_bytes.reserve(t.coll_bytes.size());
+    std::size_t coll = 0;
     for (const Event& e : t.events) {
       if (mask.drops(e.type, e.peer)) {
         ++pruned;
@@ -144,17 +151,25 @@ std::size_t prune_quarantined(TraceCollection& tc,
       }
       if (mask.degrades(e.type, e.comm.get())) {
         // Keep the Exit so the region nesting stays balanced; only the
-        // collective semantics are gone.
+        // collective semantics, byte counts included, are gone.
         Event exit_ev;
         exit_ev.type = EventType::Exit;
         exit_ev.time = e.time;
         kept.push_back(exit_ev);
+        ++coll;
         ++pruned;
         continue;
+      }
+      if (e.type == EventType::CollExit) {
+        MSC_CHECK(coll < t.coll_bytes.size(),
+                  "rank " + std::to_string(t.rank) +
+                      ": more CollExit events than coll_bytes entries");
+        kept_bytes.push_back(t.coll_bytes[coll++]);
       }
       kept.push_back(e);
     }
     t.events = std::move(kept);
+    t.coll_bytes = std::move(kept_bytes);
   }
   return pruned;
 }

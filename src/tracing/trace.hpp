@@ -31,6 +31,9 @@ struct OffsetRecord {
 struct LocalTrace {
   Rank rank{kNoRank};
   std::vector<Event> events;
+  /// One entry per CollExit in `events`, in event order. Every encoder
+  /// rejects a trace whose entry count differs from its CollExit count.
+  std::vector<CollBytes> coll_bytes;
   std::vector<OffsetRecord> sync;
 
   bool operator==(const LocalTrace&) const = default;
@@ -72,7 +75,8 @@ struct TraceCollection {
   [[nodiscard]] std::vector<GlobalRef> global_order() const;
 };
 
-/// Resident size of a trace's payload vectors (events + sync records),
+/// Resident size of a trace's payload vectors (events, collective byte
+/// counts and sync records),
 /// independent of any serialization format. The byte-accounting split:
 /// "in-memory bytes" is what the analyzer holds and replays over;
 /// "on-disk bytes" (telemetry counters archive.bytes_on_disk /
@@ -119,7 +123,8 @@ class QuarantineMask {
 ///    enclosing MPI region stays as plain time);
 ///  - CollExit events on a communicator containing a quarantined rank
 ///    degrade to plain Exit events (the instance is incomplete on every
-///    surviving rank, so the whole instance disappears consistently).
+///    surviving rank, so the whole instance disappears consistently),
+///    and their coll_bytes entries go with them.
 /// Region nesting stays balanced, so the structure walk and the replay
 /// still hold. Returns the number of events dropped or degraded.
 /// Deterministic: depends only on the collection and the quarantined

@@ -101,9 +101,11 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     s.scan_light([](const metascope::tracing::LightEvent&) {});
     // Tiny windows put every chunked cursor through mid-column refills.
     std::vector<metascope::tracing::Event> sink;
+    std::vector<metascope::CollBytes> coll_sink;
     while (!s.at_end()) {
       sink.clear();
-      if (s.next(sink, 3) == 0) break;
+      coll_sink.clear();
+      if (s.next(sink, 3, &coll_sink) == 0) break;
     }
   } catch (const metascope::Error&) {
   }

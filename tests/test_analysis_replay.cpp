@@ -245,6 +245,7 @@ tracing::TraceCollection clean_pair() {
                 ev(EventType::Enter, 0.3 + 0.1 * r, 3),
                 ev(EventType::CollExit, 0.6, 3),
                 ev(EventType::Exit, 0.7, -1)};
+    t.coll_bytes = {CollBytes{}};
     tc.ranks.push_back(std::move(t));
   }
   return tc;
@@ -253,7 +254,7 @@ tracing::TraceCollection clean_pair() {
 struct MalformedCase {
   const char* name;
   /// Breaks rank 1's trace.
-  std::function<void(std::vector<tracing::Event>&)> damage;
+  std::function<void(tracing::LocalTrace&)> damage;
   /// Expected Error::base_message().
   std::string message;
   /// Breaks the definitions, if set.
@@ -293,7 +294,7 @@ Error error_of(const std::function<void()>& analyze) {
 TEST_P(MalformedTraceMatrix, SameTypedErrorFromEveryAnalyzer) {
   auto tc = clean_pair();
   ASSERT_NO_THROW(analyze_serial(tc));  // the baseline is well-formed
-  GetParam().damage(tc.ranks[1].events);
+  GetParam().damage(tc.ranks[1]);
   if (GetParam().damage_defs) GetParam().damage_defs(tc.defs);
 
   // The v3 archive of the damaged collection, streamed back.
@@ -324,43 +325,47 @@ INSTANTIATE_TEST_SUITE_P(
     Analyzers, MalformedTraceMatrix,
     ::testing::Values(
         MalformedCase{"ExitWithoutEnter",
-                      [](auto& ev) {
+                      [](auto& t) {
                         tracing::Event e;
                         e.type = EventType::Exit;
-                        ev.insert(ev.begin(), e);
+                        t.events.insert(t.events.begin(), e);
                       },
                       "malformed trace: rank 1 event 0: Exit without Enter"},
         MalformedCase{"MessageOutsideRegion",
-                      [](auto& ev) {
-                        tracing::Event e = *first_of(ev, EventType::Recv);
+                      [](auto& t) {
+                        tracing::Event e =
+                            *first_of(t.events, EventType::Recv);
                         e.tag = 2;
-                        ev.insert(ev.begin(), e);
+                        t.events.insert(t.events.begin(), e);
                       },
                       "malformed trace: rank 1 event 0: message event "
                       "outside any region"},
         MalformedCase{"UnclosedRegion",
-                      [](auto& ev) { ev.pop_back(); },
+                      [](auto& t) { t.events.pop_back(); },
                       "malformed trace: rank 1 event 6: unclosed region"},
         MalformedCase{"NegativeDuration",
-                      [](auto& ev) { ev[3].time = 0.05; },
+                      [](auto& t) { t.events[3].time = 0.05; },
                       "malformed trace: rank 1 event 3: negative region "
                       "duration"},
         MalformedCase{"IncompleteCollective",
-                      [](auto& ev) {
-                        const auto it = first_of(ev, EventType::CollExit);
-                        ev.erase(std::prev(it), std::next(it));
+                      [](auto& t) {
+                        const auto it =
+                            first_of(t.events, EventType::CollExit);
+                        t.events.erase(std::prev(it), std::next(it));
+                        t.coll_bytes.clear();
                       },
                       "incomplete collective instance in trace: rank 1 "
                       "recorded 0 collectives on communicator 0 but rank 0 "
                       "recorded 1"},
         MalformedCase{"CollExitCommOutOfRange",
-                      [](auto& ev) {
-                        first_of(ev, EventType::CollExit)->comm = CommId{7};
+                      [](auto& t) {
+                        first_of(t.events, EventType::CollExit)->comm =
+                            CommId{7};
                       },
                       "malformed trace: rank 1 event 5: collective on "
                       "unknown communicator 7"},
         MalformedCase{"RegionOutOfRange",
-                      [](auto& ev) { ev[1].region = RegionId{42}; },
+                      [](auto& t) { t.events[1].region = RegionId{42}; },
                       "malformed trace: rank 1 event 1: unknown region id "
                       "42"},
         MalformedCase{"DuplicateCommunicatorMember",

@@ -242,8 +242,10 @@ TEST_F(ArchiveTest, ZeroEventRanksRoundTrip) {
   auto data = workloads::run_experiment(topo, prog, cfg);
   // Ranks that recorded nothing (e.g. spawned but never instrumented)
   // must survive the archive round trip as empty traces.
-  for (Rank r : {0, 5, 31})
+  for (Rank r : {0, 5, 31}) {
     data.traces.ranks[static_cast<std::size_t>(r)].events.clear();
+    data.traces.ranks[static_cast<std::size_t>(r)].coll_bytes.clear();
+  }
   const auto layout =
       FileSystemLayout::per_metahost(base_, topo.num_metahosts());
   const auto arch = ExperimentArchive::create(topo, layout, "z");

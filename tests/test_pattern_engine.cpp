@@ -489,7 +489,7 @@ TEST(PatternExtensibility, CustomDetectorRunsThroughPublicEngineApi) {
                             make_side(prep, p.recv.rank, p.recv.index),
                             p.recv.index});
   AnalysisStats stats;
-  engine.dispatch(std::move(p2p), group_collectives(tc, prep), stats);
+  engine.dispatch(p2p, group_collectives(tc, prep), stats);
   EXPECT_EQ(stats.messages, 1u);
   const MetricId dwell = cube.metrics.find("Recv Dwell");
   // The receiver waited ~0.2 s inside MPI_Recv, so its dwell is at

@@ -326,6 +326,13 @@ TEST(Engine, ReservesExactEventCountPerRank) {
   const ExecResult res = execute(make_two_host(), b.take(), exact_config());
   for (const auto& evs : res.per_rank)
     EXPECT_EQ(evs.capacity(), evs.size());
+  // One side-vector entry per CollExit, reserved exactly too.
+  ASSERT_EQ(res.coll_bytes.size(), res.per_rank.size());
+  for (std::size_t r = 0; r < res.per_rank.size(); ++r) {
+    const auto& coll = res.coll_bytes[r];
+    EXPECT_EQ(coll.size(), r % 2 == 0 ? 2u : 1u) << "rank " << r;
+    EXPECT_EQ(coll.capacity(), coll.size()) << "rank " << r;
+  }
 }
 
 TEST(Engine, RankCountMismatchThrows) {
@@ -381,10 +388,39 @@ class Digest {
   std::uint64_t h_{0xcbf29ce484222325ULL};
 };
 
+/// Hashes each CollExit's side-vector entry at the event's position in
+/// the fixture's digest layout, which gives every event two byte-count
+/// fields, and 0.0, 0.0 for every other event. The pinned digests
+/// therefore cover the side vectors too.
+class CollBytesFeed {
+ public:
+  explicit CollBytesFeed(const std::vector<CollBytes>& v) : v_(v) {}
+  void hash(Digest& d, bool coll_exit) {
+    CollBytes b;
+    if (coll_exit) {
+      EXPECT_LT(next_, v_.size()) << "more CollExits than coll_bytes";
+      if (next_ < v_.size()) b = v_[next_];
+      ++next_;
+    }
+    d.f64(b.sent);
+    d.f64(b.recvd);
+  }
+  ~CollBytesFeed() {
+    EXPECT_EQ(next_, v_.size()) << "coll_bytes entries without a CollExit";
+  }
+
+ private:
+  const std::vector<CollBytes>& v_;
+  std::size_t next_{0};
+};
+
 std::uint64_t exec_digest(const ExecResult& res) {
   Digest d;
   d.u64(res.per_rank.size());
-  for (const auto& evs : res.per_rank) {
+  EXPECT_EQ(res.coll_bytes.size(), res.per_rank.size());
+  for (std::size_t r = 0; r < res.per_rank.size(); ++r) {
+    const auto& evs = res.per_rank[r];
+    CollBytesFeed coll(res.coll_bytes.at(r));
     d.u64(evs.size());
     for (const ExecEvent& e : evs) {
       d.u64(static_cast<std::uint64_t>(e.type));
@@ -395,8 +431,7 @@ std::uint64_t exec_digest(const ExecResult& res) {
       d.f64(e.bytes);
       d.i64(e.comm.get());
       d.i64(e.root);
-      d.f64(e.sent_bytes);
-      d.f64(e.recvd_bytes);
+      coll.hash(d, e.type == ExecEventType::CollExit);
     }
   }
   d.f64(res.end_time.s);
@@ -440,6 +475,7 @@ std::uint64_t trace_digest(const tracing::TraceCollection& tc) {
   for (const auto& lt : tc.ranks) {
     d.i64(lt.rank);
     d.u64(lt.events.size());
+    CollBytesFeed coll(lt.coll_bytes);
     for (const auto& e : lt.events) {
       d.u64(static_cast<std::uint64_t>(e.type));
       d.f64(e.time);
@@ -449,8 +485,7 @@ std::uint64_t trace_digest(const tracing::TraceCollection& tc) {
       d.f64(e.bytes);
       d.i64(e.comm.get());
       d.i64(e.root);
-      d.f64(e.sent_bytes);
-      d.f64(e.recvd_bytes);
+      coll.hash(d, e.type == tracing::EventType::CollExit);
     }
     d.u64(lt.sync.size());
     for (const auto& s : lt.sync) {

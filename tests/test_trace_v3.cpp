@@ -7,12 +7,14 @@
 // frame truncation, column-length and per-type-count mismatches).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cfloat>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <limits>
 #include <map>
 #include <sstream>
@@ -24,9 +26,11 @@
 #include "common/binary_io.hpp"
 #include "common/column_codec.hpp"
 #include "common/error.hpp"
+#include "simmpi/exec_event.hpp"
 #include "simnet/presets.hpp"
 #include "simnet/topology.hpp"
 #include "tracing/epilog_io.hpp"
+#include "tracing/stream.hpp"
 #include "workloads/experiment.hpp"
 #include "workloads/microworkloads.hpp"
 
@@ -38,6 +42,11 @@ using tracing::Event;
 using tracing::EventType;
 using tracing::LocalTrace;
 using tracing::TraceCollection;
+
+// Both event records pack into 40 bytes; CollExit byte counts live in
+// the per-rank side vectors.
+static_assert(sizeof(tracing::Event) == 40);
+static_assert(sizeof(simmpi::ExecEvent) == 40);
 
 // --- double-column codec --------------------------------------------------
 
@@ -250,8 +259,7 @@ LocalTrace mixed_trace(Rank rank, int n) {
         e.comm = CommId{0};
         e.root = 0;
         e.bytes = 256.0;
-        e.sent_bytes = 256.0;
-        e.recvd_bytes = 2048.0;
+        t.coll_bytes.push_back(CollBytes{256.0 * (1 + i % 3), 2048.0 + i});
         break;
       case 4:
         e.type = EventType::Exit;
@@ -280,6 +288,44 @@ TEST(TraceV3, EveryVersionRoundTripsEveryEventBit) {
   }
 }
 
+TEST(TraceV3, CollBytesRoundTripThroughEveryVersion) {
+  const LocalTrace t = mixed_trace(5, 137);
+  const auto coll_exits = static_cast<std::size_t>(
+      std::count_if(t.events.begin(), t.events.end(), [](const Event& e) {
+        return e.type == EventType::CollExit;
+      }));
+  ASSERT_EQ(t.coll_bytes.size(), coll_exits);
+  for (const std::uint32_t v : {1u, 2u, 3u}) {
+    const LocalTrace back =
+        tracing::decode_local_trace(tracing::encode_local_trace(t, v));
+    EXPECT_EQ(back.coll_bytes, t.coll_bytes) << "version " << v;
+  }
+}
+
+TEST(TraceV3, EncodeRejectsCollBytesCountMismatch) {
+  LocalTrace fewer = mixed_trace(5, 137);
+  const std::size_t n = fewer.coll_bytes.size();
+  fewer.coll_bytes.pop_back();
+  LocalTrace more = mixed_trace(5, 137);
+  more.coll_bytes.push_back(CollBytes{1.0, 2.0});
+  for (const std::uint32_t v : {1u, 2u, 3u}) {
+    for (const LocalTrace* t : {&fewer, &more}) {
+      try {
+        (void)tracing::encode_local_trace(*t, v);
+        ADD_FAILURE() << "no Error for version " << v;
+      } catch (const Error& e) {
+        EXPECT_EQ(e.code(), ErrorCode::Corrupt) << e.what();
+        EXPECT_EQ(e.context().rank, 5) << e.what();
+        EXPECT_EQ(e.base_message(),
+                  "cannot encode the trace of rank 5: " + std::to_string(n) +
+                      " CollExit events but " +
+                      std::to_string(t->coll_bytes.size()) +
+                      " coll_bytes entries");
+      }
+    }
+  }
+}
+
 TEST(TraceV3, UnsupportedEncodeVersionsRejected) {
   const LocalTrace t = mixed_trace(0, 5);
   for (const std::uint32_t v : {0u, 4u, 99u}) {
@@ -305,8 +351,10 @@ TEST(TraceV3, ColumnarFormatIsSubstantiallySmaller) {
 
 TEST(TraceV3, InMemoryBytesCountsResidentSize) {
   const LocalTrace t = mixed_trace(1, 10);
+  ASSERT_EQ(t.coll_bytes.size(), 2u);
   EXPECT_EQ(tracing::in_memory_bytes(t),
-            10 * sizeof(Event) + 2 * sizeof(tracing::OffsetRecord));
+            10 * sizeof(Event) + 2 * sizeof(CollBytes) +
+                2 * sizeof(tracing::OffsetRecord));
   TraceCollection tc;
   tc.ranks.push_back(mixed_trace(0, 4));
   tc.ranks.push_back(mixed_trace(1, 6));
@@ -401,6 +449,95 @@ TEST(TraceV3Corrupt, OversizedColumnFrameIsTruncated) {
   auto bytes = one_enter_trace();
   bytes[17] = 200;  // frame declares more bytes than the file holds
   expect_trace_failure(std::move(bytes), ErrorCode::Truncated, "column");
+}
+
+// --- TraceStream against the batch reader ---------------------------------
+
+/// Every event and CollExit byte count a stream yields in windows of
+/// `window` events.
+LocalTrace drain(const std::vector<std::uint8_t>& bytes, std::size_t window) {
+  tracing::TraceStream s(bytes.data(), bytes.size(), "<mem>");
+  LocalTrace t;
+  t.rank = s.rank();
+  t.sync = s.sync();
+  while (s.next(t.events, window, &t.coll_bytes) != 0) {
+  }
+  return t;
+}
+
+TEST(TraceStreamDecode, WindowsYieldTheEagerDecode) {
+  const LocalTrace t = mixed_trace(5, 137);
+  const auto bytes = tracing::encode_local_trace(t, 3);
+  const LocalTrace eager = tracing::decode_local_trace(bytes);
+  ASSERT_EQ(eager, t);
+  for (const std::size_t window : {1u, 2u, 3u, 7u, 64u, 1000u})
+    EXPECT_EQ(drain(bytes, window), eager) << "window " << window;
+}
+
+/// A v3 trace of one Enter and one CollExit, and the byte offset of the
+/// frame of its collexit.sent (`from_end` = 1) or collexit.recvd
+/// (`from_end` = 0) column: the last two frames in the file.
+std::pair<std::vector<std::uint8_t>, std::size_t> one_collective_trace(
+    int from_end) {
+  LocalTrace t;
+  t.rank = 0;
+  Event enter;
+  enter.type = EventType::Enter;
+  enter.region = RegionId{1};
+  enter.time = 0.25;
+  Event exit = enter;
+  exit.type = EventType::CollExit;
+  exit.time = 0.5;
+  exit.comm = CommId{0};
+  t.events = {enter, exit};
+  t.coll_bytes = {CollBytes{96.0, 384.0}};
+  const auto bytes = tracing::encode_local_trace(t, 3);
+  // Frame sizes of the two trailing one-row columns, as the encoder
+  // writes them (each payload is well under 128 bytes, so its length
+  // prefix is one byte).
+  auto frame = [](double v) {
+    BufWriter w;
+    colcodec::encode_double_column(w, &v, 1);
+    return 1 + w.size();
+  };
+  const std::size_t recvd = bytes.size() - frame(384.0);
+  const std::size_t sent = recvd - frame(96.0);
+  return {bytes, from_end == 0 ? recvd : sent};
+}
+
+/// The ErrorCode `decode` throws (None when it throws nothing).
+ErrorCode code_of(const std::function<void()>& decode) {
+  try {
+    decode();
+  } catch (const Error& e) {
+    return e.code();
+  }
+  return ErrorCode::None;
+}
+
+TEST(TraceStreamDecode, CollByteColumnCorruptionMatchesTheEagerErrorCode) {
+  for (const int from_end : {0, 1}) {
+    const auto [intact, at] = one_collective_trace(from_end);
+    ASSERT_EQ(drain(intact, 1), tracing::decode_local_trace(intact));
+    // An unknown codec mode byte, and a frame one byte longer than the
+    // codec's payload (the spare byte inserted so the next frame stays
+    // in place).
+    auto bad_mode = intact;
+    bad_mode[at + 1] = 0xEE;
+    auto long_frame = intact;
+    long_frame[at] = static_cast<std::uint8_t>(long_frame[at] + 1);
+    long_frame.insert(long_frame.begin() +
+                          static_cast<std::ptrdiff_t>(at + 1 + intact[at]),
+                      std::uint8_t{0});
+    for (const auto* bytes : {&bad_mode, &long_frame}) {
+      const ErrorCode eager =
+          code_of([&] { (void)tracing::decode_local_trace(*bytes); });
+      EXPECT_EQ(eager, ErrorCode::Corrupt) << "column " << from_end;
+      for (const std::size_t window : {1u, 2u})
+        EXPECT_EQ(code_of([&] { (void)drain(*bytes, window); }), eager)
+            << "column " << from_end << " window " << window;
+    }
+  }
 }
 
 // --- cross-version migration against the golden fixture ------------------

@@ -467,6 +467,46 @@ TEST(EpilogIo, ZeroEventTraceRoundTrips) {
   EXPECT_TRUE(decoded.sync.empty());
 }
 
+// A CollExit on a communicator that lost a member degrades to a plain
+// Exit and takes its coll_bytes entry with it; every other entry stays,
+// in order, so the pruned trace still encodes.
+TEST(PruneQuarantined, DegradedCollExitDropsItsCollBytesEntry) {
+  TraceCollection tc;
+  tc.defs.comms = {CommDef{CommId{0}, "world", {0, 1, 2}},
+                   CommDef{CommId{1}, "pair", {1, 2}}};
+  auto ev = [](EventType type, double time, int comm) {
+    Event e;
+    e.type = type;
+    e.time = time;
+    if (type != EventType::Exit) e.region = RegionId{0};
+    if (type == EventType::CollExit) e.comm = CommId{comm};
+    return e;
+  };
+  for (Rank r = 0; r < 3; ++r) {
+    LocalTrace t;
+    t.rank = r;
+    t.events = {ev(EventType::Enter, 0.0, 0),
+                ev(EventType::Enter, 0.1, 0),
+                ev(EventType::CollExit, 0.2, 0),
+                ev(EventType::Enter, 0.3, 0),
+                ev(EventType::CollExit, 0.4, r == 0 ? 0 : 1),
+                ev(EventType::Exit, 0.5, 0)};
+    t.coll_bytes = {CollBytes{1.0 + r, 2.0}, CollBytes{3.0 + r, 4.0}};
+    tc.ranks.push_back(std::move(t));
+  }
+
+  EXPECT_EQ(prune_quarantined(tc, {0}), 2u);
+  for (Rank r = 1; r < 3; ++r) {
+    const LocalTrace& t = tc.ranks[static_cast<std::size_t>(r)];
+    ASSERT_EQ(t.events.size(), 6u);
+    EXPECT_EQ(t.events[2].type, EventType::Exit);
+    EXPECT_EQ(t.events[4].type, EventType::CollExit);
+    const std::vector<CollBytes> kept{CollBytes{3.0 + r, 4.0}};
+    EXPECT_EQ(t.coll_bytes, kept);
+    EXPECT_EQ(decode_local_trace(encode_local_trace(t)), t);
+  }
+}
+
 TEST(GlobalOrder, SortedByTime) {
   const auto topo = simnet::make_ibm_power(4);
   auto prog = workloads::wait_barrier_program({0.0, 0.1, 0.2, 0.3});

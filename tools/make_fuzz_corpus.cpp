@@ -303,6 +303,7 @@ void put_analyzer_seeds(const fs::path& dir) {
     tracing::Event& coll = ev(EventType::CollExit, 0.6);
     coll.region = RegionId{3};
     coll.comm = CommId{coll_comm};
+    t.coll_bytes.push_back(CollBytes{});
     ev(EventType::Exit, 0.7);
     return tracing::encode_local_trace(t);
   };
